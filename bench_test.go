@@ -4,8 +4,10 @@
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the full evaluation. DESIGN.md §4 maps benchmarks to paper
-// artifacts; EXPERIMENTS.md records paper-vs-measured shapes. Benchmarks
+// reproduces the full evaluation. Each benchmark is named after the paper
+// artifact it regenerates, and each table's notes set the paper's shape
+// next to the measured one (docs/ARCHITECTURE.md, "Reproduction
+// substitutions", lists what stands in for what). Benchmarks
 // run at half stand-in scale (Scale 0.5) to keep the whole suite's
 // wall-clock reasonable on one machine; cmd/experiments runs full stand-in
 // scale.

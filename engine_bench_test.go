@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"dsteiner"
+	"dsteiner/internal/baseline"
 )
 
 // benchSolveGraph builds a reproducible mid-size connected graph.
@@ -81,6 +82,39 @@ func BenchmarkEngineReuse(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkLadder measures the bottom rung of the layer-tax ladder on the
+// same graph and queries as BenchmarkEngineReuse: l0_mehlhorn is the
+// sequential floor (baseline.Mehlhorn), l1_1rank one resident 1-rank
+// Engine — the runtime message plane and queue with no partition,
+// mailboxes or wire. Both sides come from one run, so their ratio holds
+// across hardware; CI gates l1_1rank <= 2.0 * l0_mehlhorn.
+func BenchmarkLadder(b *testing.B) {
+	g := benchSolveGraph(b)
+	seedSets := benchSeedSets(g, 16, 16)
+	b.Run("l0_mehlhorn", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := baseline.Mehlhorn(g, seedSets[i%len(seedSets)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("l1_1rank", func(b *testing.B) {
+		e, err := dsteiner.NewEngine(g, dsteiner.Defaults(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer e.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := e.Solve(seedSets[i%len(seedSets)]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkTCPTransportSolve is the loopback-vs-wire comparison: the same

@@ -40,8 +40,9 @@ const (
 	MSTKruskal MSTAlgo = iota
 	// MSTPrim is the paper's choice (Boost Prim in the original).
 	MSTPrim
-	// MSTBoruvka is the parallel-style algorithm used by the DESIGN.md
-	// ablation of the "sequential MST is sufficient" claim.
+	// MSTBoruvka is the parallel-style algorithm used by the ablation of
+	// the "sequential MST is sufficient" claim (docs/ARCHITECTURE.md,
+	// "Reproduction substitutions").
 	MSTBoruvka
 )
 
@@ -444,8 +445,8 @@ func (o Options) withDefaults() Options {
 // Kruskal as the replicated-path MST (the order the fragment merge
 // reproduces byte-identically), and arc-balanced contiguous partitioning
 // (our equivalent of HavoqGT's edge-count load balancing for scale-free
-// graphs — see the DESIGN.md substitution table and
-// BenchmarkAblation_Delegates).
+// graphs — see the substitution table in docs/ARCHITECTURE.md,
+// "Reproduction substitutions", and BenchmarkAblation_Delegates).
 func Default(ranks int) Options {
 	return Options{
 		Ranks:     ranks,

@@ -1,8 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§V) on the scaled-down stand-in datasets. Each runner returns
-// renderable tables with the same rows/series the paper reports; DESIGN.md
-// §4 maps experiment IDs to paper artifacts and EXPERIMENTS.md records
-// paper-vs-measured outcomes.
+// renderable tables with the same rows/series the paper reports, with
+// notes that set the paper's shape next to the measured one;
+// docs/ARCHITECTURE.md, "Reproduction substitutions", maps the runners to
+// paper artifacts and lists what stands in for what.
 package experiments
 
 import (

@@ -19,7 +19,8 @@ var fig3Ranks = []int{1, 2, 4, 8}
 // Wall-clock speedup on one box is bounded by physical cores, so the table
 // also reports the critical-path work metric (max per-rank messages
 // processed, reduced over vertex-centric phases): its drop with P is the
-// machine-independent scaling shape (see DESIGN.md §1). The paper's shape:
+// machine-independent scaling shape (see docs/ARCHITECTURE.md,
+// "Reproduction substitutions"). The paper's shape:
 // Voronoi-cell dominates everywhere, local min-dist edge scales almost
 // linearly, the last four phases are negligible.
 func Fig3(cfg Config) ([]tables.Table, error) {

@@ -20,7 +20,8 @@ var table67Datasets = []string{"LVJ", "PTN", "MCO", "CTS"}
 // (approximation quality D(G_S)/D_min and % error) in one pass, since both
 // need the same solutions.
 //
-// SCIP-Jack substitution (DESIGN.md §1): the exact column S runs the
+// SCIP-Jack substitution (docs/ARCHITECTURE.md, "Reproduction
+// substitutions"): the exact column S runs the
 // Dreyfus–Wagner DP at |S|=10; at |S|=100/1000 exact solving is infeasible
 // for any solver of this family, so S reports the refined best-of-
 // heuristics reference (labelled S*), whose runtime shape — far slower
@@ -112,7 +113,7 @@ func Table67(cfg Config) ([]tables.Table, error) {
 				fmt.Sprintf("%.2f%%", 100*(ratio-1)))
 		}
 	}
-	t6.AddNote("S* = refined best-of-heuristics reference (SCIP-Jack substitute for |S|>12); see DESIGN.md")
+	t6.AddNote("S* = refined best-of-heuristics reference (SCIP-Jack substitute for |S|>12); see docs/ARCHITECTURE.md, Reproduction substitutions")
 	t6.AddNote("paper: exact solver minutes-to-hours; WWW seconds and |S|-independent; D fastest on larger graphs")
 	if len(ratios) > 0 {
 		var sum float64

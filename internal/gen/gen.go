@@ -6,8 +6,8 @@
 // provides deterministic scaled-down stand-ins with matching topology class
 // (skewed RMAT degree distributions for web/social graphs, preferential
 // attachment for citation graphs), the paper's edge-weight ranges and the
-// paper's relative size ordering. See DESIGN.md §1 for the substitution
-// rationale.
+// paper's relative size ordering. See docs/ARCHITECTURE.md, "Reproduction
+// substitutions", for the substitution rationale.
 package gen
 
 import (

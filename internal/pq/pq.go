@@ -26,111 +26,107 @@ type Queue[T any] interface {
 
 // Heap is a binary min-heap priority queue. Ties are broken by insertion
 // order (FIFO among equal keys) so that behaviour is deterministic.
+//
+// Entries are stored inline — key, insertion sequence and item side by
+// side — and sifting moves a hole instead of swapping, so each level of
+// an up or down pass costs one entry copy on one cache line.
 type Heap[T any] struct {
-	keys  []uint64
-	seqs  []uint64
-	items []T
-	seq   uint64
+	es  []heapEntry[T]
+	seq uint64
+}
+
+// heapEntry is one queued item with its ordering fields.
+type heapEntry[T any] struct {
+	key  uint64
+	seq  uint64
+	item T
+}
+
+// before reports whether a pops before b: smaller key first, then earlier
+// insertion.
+func (a *heapEntry[T]) before(b *heapEntry[T]) bool {
+	return a.key < b.key || (a.key == b.key && a.seq < b.seq)
 }
 
 // NewHeap returns an empty priority queue with optional capacity hint.
 func NewHeap[T any](capacity int) *Heap[T] {
-	return &Heap[T]{
-		keys:  make([]uint64, 0, capacity),
-		seqs:  make([]uint64, 0, capacity),
-		items: make([]T, 0, capacity),
-	}
+	return &Heap[T]{es: make([]heapEntry[T], 0, capacity)}
 }
 
 // Push inserts item with priority key.
 func (h *Heap[T]) Push(item T, key uint64) {
-	h.keys = append(h.keys, key)
-	h.seqs = append(h.seqs, h.seq)
-	h.items = append(h.items, item)
+	e := heapEntry[T]{key: key, seq: h.seq, item: item}
 	h.seq++
-	h.up(len(h.keys) - 1)
+	h.es = append(h.es, e)
+	es := h.es
+	i := len(es) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&es[parent]) {
+			break
+		}
+		es[i] = es[parent]
+		i = parent
+	}
+	es[i] = e
 }
 
 // Pop removes the minimum-key item.
 func (h *Heap[T]) Pop() (T, bool) {
 	var zero T
-	n := len(h.keys)
+	n := len(h.es)
 	if n == 0 {
 		return zero, false
 	}
-	top := h.items[0]
-	last := n - 1
-	h.keys[0], h.seqs[0], h.items[0] = h.keys[last], h.seqs[last], h.items[last]
-	h.items[last] = zero // release reference
-	h.keys, h.seqs, h.items = h.keys[:last], h.seqs[:last], h.items[:last]
-	if last > 0 {
-		h.down(0)
+	top := h.es[0].item
+	last := h.es[n-1]
+	h.es[n-1] = heapEntry[T]{} // release references
+	h.es = h.es[:n-1]
+	if n > 1 {
+		h.siftDown(last)
 	}
 	return top, true
 }
 
+// siftDown places e, displaced from the last slot, by walking the hole at
+// the root down to where e belongs.
+func (h *Heap[T]) siftDown(e heapEntry[T]) {
+	es := h.es
+	n := len(es)
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && es[r].before(&es[c]) {
+			c = r
+		}
+		if !es[c].before(&e) {
+			break
+		}
+		es[i] = es[c]
+		i = c
+	}
+	es[i] = e
+}
+
 // PeekKey returns the minimum key without removing it.
 func (h *Heap[T]) PeekKey() (uint64, bool) {
-	if len(h.keys) == 0 {
+	if len(h.es) == 0 {
 		return 0, false
 	}
-	return h.keys[0], true
+	return h.es[0].key, true
 }
 
 // Len returns the number of queued items.
-func (h *Heap[T]) Len() int { return len(h.keys) }
+func (h *Heap[T]) Len() int { return len(h.es) }
 
-// Reset empties the heap, keeping the allocated arrays.
+// Reset empties the heap, keeping the allocated array.
 func (h *Heap[T]) Reset() {
-	var zero T
-	for i := range h.items {
-		h.items[i] = zero // release references
-	}
-	h.keys, h.seqs, h.items = h.keys[:0], h.seqs[:0], h.items[:0]
+	clear(h.es) // release references
+	h.es = h.es[:0]
 	h.seq = 0
-}
-
-func (h *Heap[T]) less(i, j int) bool {
-	if h.keys[i] != h.keys[j] {
-		return h.keys[i] < h.keys[j]
-	}
-	return h.seqs[i] < h.seqs[j]
-}
-
-func (h *Heap[T]) swap(i, j int) {
-	h.keys[i], h.keys[j] = h.keys[j], h.keys[i]
-	h.seqs[i], h.seqs[j] = h.seqs[j], h.seqs[i]
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-}
-
-func (h *Heap[T]) up(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			return
-		}
-		h.swap(i, parent)
-		i = parent
-	}
-}
-
-func (h *Heap[T]) down(i int) {
-	n := len(h.keys)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && h.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		h.swap(i, smallest)
-		i = smallest
-	}
 }
 
 // FIFO is a growable ring buffer implementing Queue with first-in-first-out

@@ -49,7 +49,7 @@ type frontierPool struct {
 	stage     [][]Msg
 	emit      []func(Msg) // prebuilt appenders, one per worker
 	chunk     []int64     // messages this worker relaxed in the last drain
-	conflicts []int64     // lex-min tie-break rejections (cumulative, folded per drain)
+	conflicts []int64     // superseded items skipped (cumulative, folded per drain)
 	busyNs    []int64     // busy time in the last drain
 }
 
@@ -114,9 +114,10 @@ func (p *frontierPool) close() {
 	}
 }
 
-// FrontierConflict records one parallel-drain relaxation rejected by the
-// per-vertex lex-min tie-break — a merge conflict between concurrently
-// relaxed chunks, surfaced as Stats.Frontier.Conflicts. Valid only inside a
+// FrontierConflict records one drained item a parallel visit skipped
+// because a later merge superseded it (for the Voronoi flood: a settle
+// token whose row has improved since), surfaced as
+// Stats.Frontier.Conflicts. Valid only inside a
 // ParallelVisit callback on worker w (the counter is worker-local).
 func (r *Rank) FrontierConflict(w int) { r.pool.conflicts[w]++ }
 
@@ -146,9 +147,9 @@ func (c *Comm) frontierWorkers() int {
 
 // parallelDrain relaxes the rank's drained bucket (r.drainBuf) on the worker
 // pool, then replays the per-worker staging outboxes in worker-index order
-// through flush. Staged sends are replayed — and counted against the
-// termination counter — before the caller releases the drained messages'
-// own pending units, so quiescence can never be declared mid-drain.
+// through flush. The rank keeps its pending unit while the replay runs
+// (it holds one until its queue is empty), so quiescence can never be
+// declared mid-drain.
 func (r *Rank) parallelDrain(flush VisitFunc) {
 	p := r.pool
 	c := r.comm
@@ -211,7 +212,6 @@ func (r *Rank) drainFrontier(bq *pq.Bucket[Msg]) int64 {
 	} else {
 		r.parallelDrain(r.pflush)
 	}
-	r.comm.processed.Add(n)
 	r.processedHere += n
 	return n
 }
@@ -230,9 +230,8 @@ type FrontierStats struct {
 	// MaxChunk is the largest per-worker chunk of any drain (high-water
 	// mark, not a delta-able counter).
 	MaxChunk int64
-	// Conflicts counts relaxations rejected by the per-vertex lex-min
-	// tie-break during parallel drains — the commutative merge doing its
-	// job on concurrently relaxed chunks.
+	// Conflicts counts drained items a parallel visit skipped as
+	// superseded: Voronoi settle tokens whose row a later merge improved.
 	Conflicts int64
 	// BusyNs is cumulative worker busy time inside drains; BusyNs /
 	// (WallNs * Workers) is the pool's busy fraction.

@@ -31,7 +31,7 @@ type Rank struct {
 	queue   pq.Queue[Msg]
 	keyOf   KeyFunc
 	visit   VisitFunc
-	admit   func(r *Rank, m Msg) bool // optional inbound dominance filter
+	merge   func(r *Rank, m Msg) bool // optional enqueue-time merge hook
 	shuffle *rand.Rand
 	// Parallel-frontier state (frontier.go): the worker pool (created
 	// lazily, released by Comm.Close), the traversal's parallel callbacks
@@ -57,7 +57,13 @@ type Rank struct {
 	doutIdx map[graph.VID]int32
 	dout    []Msg
 
-	// Per-traversal counters (reset by Traverse).
+	// held reports whether this rank holds its one unit of the loopback
+	// pending counter, taken while its local queue is non-empty (see
+	// enqueueLocal / releaseHeld).
+	held bool
+
+	// Per-traversal counters (reset by Traverse, published to the Comm
+	// totals when the traversal ends).
 	sentHere         int64
 	processedHere    int64
 	drainsHere       int64
@@ -127,17 +133,17 @@ func (r *Rank) EdgeWeight(u, v graph.VID) (uint32, bool) { return r.mustShard().
 
 // Send routes m to the owner of m.Target. Valid inside a traversal (the
 // visit callback or init function). Messages to the local rank skip the
-// mailbox and go straight to the local queue.
+// mailbox: the traversal's Merge hook folds them into owned state right
+// here, and only what it keeps enters the local queue.
 func (r *Rank) Send(m Msg) {
 	c := r.comm
-	c.pending.Add(1)
-	c.sent.Add(1)
 	r.sentHere++
 	dest := c.part.Owner(m.Target)
 	if dest == r.id && !r.bsp {
 		r.enqueueLocal(m)
 		return
 	}
+	c.pending.Add(1)
 	r.buffer(dest, m)
 }
 
@@ -154,17 +160,17 @@ func (r *Rank) Suppress() { r.comm.suppressed.Add(1) }
 func (r *Rank) Distributed() bool { return r.comm.trans != nil }
 
 // Broadcast routes m to every rank including this one (used for delegate
-// hub updates). Each copy counts as one sent message.
+// hub updates). Each copy counts as one sent message; the self-copy goes
+// through the Merge hook like a same-rank Send.
 func (r *Rank) Broadcast(m Msg) {
+	c := r.comm
 	for dest := 0; dest < r.NumRanks(); dest++ {
-		c := r.comm
-		c.pending.Add(1)
-		c.sent.Add(1)
 		r.sentHere++
 		if dest == r.id && !r.bsp {
 			r.enqueueLocal(m)
 			continue
 		}
+		c.pending.Add(1)
 		r.buffer(dest, m)
 	}
 }
@@ -262,9 +268,41 @@ func (r *Rank) recycleBuf(buf []Msg) {
 	r.comm.shareBuf(buf[:0])
 }
 
-// enqueueLocal pushes m onto the local discipline queue.
-func (r *Rank) enqueueLocal(m Msg) {
+// enqueueLocal hands a message that reached its owner (this rank) to the
+// traversal's Merge hook and pushes whatever the hook keeps onto the local
+// discipline queue. It reports whether m was queued.
+//
+// Queued messages do not hold pending units of their own: the rank takes
+// a single unit when its queue turns non-empty and gives it back in
+// releaseHeld once the queue has drained, so local sends and pops cost no
+// atomic at all. Messages in flight between ranks still hold one unit
+// each, from Send until the receiver's drainInbox.
+func (r *Rank) enqueueLocal(m Msg) bool {
+	if r.merge != nil && !r.merge(r, m) {
+		return false
+	}
 	r.queue.Push(m, r.keyOf(m))
+	if !r.held {
+		r.held = true
+		r.comm.pending.Add(1)
+	}
+	return true
+}
+
+// releaseHeld gives back the rank's pending unit once its local queue is
+// empty, declaring quiescence if that was the last unit anywhere. Every
+// message the rank produced already holds its own unit (in an outgoing
+// buffer, the delegate outbox or a peer's mailbox), so the release cannot
+// hide outstanding work. Transport termination does not use the counter.
+func (r *Rank) releaseHeld() {
+	if !r.held {
+		return
+	}
+	r.held = false
+	c := r.comm
+	if c.pending.Add(-1) == 0 && c.trans == nil {
+		c.closeDone()
+	}
 }
 
 // flushTo delivers the outgoing buffer for dest: straight into the mailbox
@@ -308,28 +346,30 @@ func (r *Rank) drainInbox() bool {
 	}
 	moved := false
 	c := r.comm
+	n := int64(0)
 	for _, batch := range batches {
 		if r.shuffle != nil {
 			r.shuffle.Shuffle(len(batch), func(i, j int) {
 				batch[i], batch[j] = batch[j], batch[i]
 			})
 		}
+		n += int64(len(batch))
 		for _, m := range batch {
-			if r.admit != nil && !r.admit(r, m) {
-				// Dropped as if visited and rejected. The message's unit of
-				// the loopback pending counter is released here; transport
-				// termination counts at the process boundary (Deliver/
-				// Inbound), which this message has already cleared.
-				if c.trans == nil && c.pending.Add(-1) == 0 {
-					c.closeDone()
-				}
-				continue
+			if r.enqueueLocal(m) {
+				moved = true
 			}
-			r.enqueueLocal(m)
-			moved = true
 		}
 		// Messages are copied into the queue; the buffer is free again.
 		r.recycleBuf(batch)
+	}
+	// Each inbound message arrived holding one unit of the loopback
+	// pending counter. The queued ones are now covered by the rank's held
+	// unit (taken above, before this release) and the merged-away ones
+	// need none, so all n units go back at once. Transport termination
+	// counts at the process boundary (Deliver/Inbound), which these
+	// messages have already cleared.
+	if c.trans == nil && c.pending.Add(-n) == 0 {
+		c.closeDone()
 	}
 	r.box.recycle(batches)
 	return moved

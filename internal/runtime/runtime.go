@@ -72,12 +72,13 @@ func (k QueueKind) String() string {
 // the payload fields per phase: for Voronoi cells (Alg. 4) Target is the
 // vertex being visited, From the sending vertex (predecessor candidate),
 // Seed the source seed and Dist the tentative distance. Kind discriminates
-// message roles within one traversal.
+// message roles within one traversal. Dist leads so the struct packs into
+// 24 bytes: every queue entry and batch slot copies it.
 type Msg struct {
+	Dist   graph.Dist
 	Target graph.VID
 	From   graph.VID
 	Seed   graph.VID
-	Dist   graph.Dist
 	Kind   uint8
 }
 
@@ -598,9 +599,11 @@ func (c *Comm) resetForRun() {
 // the coordinator aggregates per-process deltas for cluster-wide views.
 type Stats struct {
 	// Sent counts point-to-point visitor messages (broadcasts count once
-	// per destination rank, matching the paper's message-count metric).
+	// per destination rank, matching the paper's message-count metric),
+	// including those a Traversal.Merge hook dropped on arrival.
 	Sent int64
-	// Processed counts visit() invocations.
+	// Processed counts visit() invocations (queue pops). Ranks publish
+	// Sent and Processed once per traversal, so mid-traversal reads lag.
 	Processed int64
 	// Batches counts cross-rank batch deliveries.
 	Batches int64

@@ -33,16 +33,18 @@ type Traversal struct {
 	// traversal by calling r.Send (HavoqGT's init_all visitors). May be
 	// nil.
 	Init func(r *Rank)
-	// Admit, when set, pre-filters inbound mailbox messages before they
-	// enter the local queue: a message for which Admit returns false is
-	// dropped as if Visit had received and rejected it. It must be a pure
-	// dominance check — only return false when Visit is guaranteed to be a
-	// side-effect-free no-op for m, now and at any later time (e.g. the
-	// local state already lexicographically beats the offer and can only
-	// keep improving). Stale offers then cost one comparison instead of a
-	// queue insertion, a pop and a visit — the bulk of a remote rank's
-	// redundant work, since transport batching widens the staleness window.
-	Admit func(r *Rank, m Msg) bool
+	// Merge, when set, folds each message into the owner's state at the
+	// moment it reaches the owner's local queue: a same-rank Send, the
+	// self-copy of a Broadcast, or an inbound batch in drainInbox — on
+	// loopback, TCP and BSP alike. It runs on the owner rank's goroutine
+	// and may mutate owned state. It returns whether m must still be
+	// queued for Visit; false drops m on the spot, and the drop releases
+	// m's share of termination accounting, so a traversal whose Merge
+	// drops everything still reaches quiescence. A merging algorithm thus
+	// queues only work tokens (for the Voronoi flood: "relax v's
+	// neighbours at this (dist, seed)"), and Visit must tolerate tokens
+	// that later merges superseded. nil queues every message.
+	Merge func(r *Rank, m Msg) bool
 	// BSP switches from asynchronous processing to bulk-synchronous
 	// supersteps separated by barriers (the ablation of §IV's async
 	// design choice). Messages sent in superstep i are processed in
@@ -63,8 +65,13 @@ type Traversal struct {
 
 // TraversalStats reports per-rank work done in one Traverse call.
 type TraversalStats struct {
-	Processed      int64 // visit() invocations on this rank
-	Sent           int64 // messages sent by this rank
+	// Processed counts visit() invocations on this rank: queue pops, so a
+	// merging traversal counts its queued tokens, superseded ones
+	// included, and never the messages Merge dropped.
+	Processed int64
+	// Sent counts messages this rank routed through Send or Broadcast,
+	// including those the owner's Merge then dropped.
+	Sent           int64
 	Supersteps     int64 // BSP supersteps (0 for async mode)
 	BucketsDrained int64 // parallel whole-bucket drains on this rank
 	FrontierMsgs   int64 // messages relaxed inside parallel drains
@@ -88,7 +95,7 @@ func (r *Rank) Traverse(t *Traversal) TraversalStats {
 	}
 	r.keyOf = key
 	r.visit = t.Visit
-	r.admit = t.Admit
+	r.merge = t.Merge
 	r.pvisit, r.pflush = nil, nil
 	if t.ParallelVisit != nil && t.ParallelFlush != nil && r.comm.cfg.FrontierParallel {
 		if _, ok := r.queue.(*pq.Bucket[Msg]); ok {
@@ -96,6 +103,7 @@ func (r *Rank) Traverse(t *Traversal) TraversalStats {
 			r.pvisit, r.pflush = t.ParallelVisit, t.ParallelFlush
 		}
 	}
+	r.held = false
 	r.sentHere, r.processedHere = 0, 0
 	r.drainsHere, r.frontierMsgsHere = 0, 0
 	// Discard any stale outbox stage (an aborted traversal may have left
@@ -132,6 +140,18 @@ func (r *Rank) Traverse(t *Traversal) TraversalStats {
 		return r.runBSP()
 	}
 	return r.runAsync()
+}
+
+// finishTraversal publishes this rank's send and visit counts to the
+// communicator totals (Stats) — once per traversal rather than one atomic
+// per message — and returns its work counters.
+func (r *Rank) finishTraversal(supersteps int64) TraversalStats {
+	r.comm.sent.Add(r.sentHere)
+	r.comm.processed.Add(r.processedHere)
+	return TraversalStats{
+		Processed: r.processedHere, Sent: r.sentHere, Supersteps: supersteps,
+		BucketsDrained: r.drainsHere, FrontierMsgs: r.frontierMsgsHere,
+	}
 }
 
 // closeDone signals global quiescence exactly once.
@@ -197,18 +217,11 @@ func (r *Rank) runAsync() TraversalStats {
 				r.flushAll()
 				r.maybeYield()
 			}
-			// drainFrontier replayed (and counted) all staged sends before
-			// returning, so releasing the drained messages' own pending
-			// units here cannot falsely reach zero mid-drain.
-			if !dist && c.pending.Add(-n) == 0 {
-				c.closeDone()
-			}
 			continue
 		}
 		if bucketQ == nil {
 			if m, ok := r.queue.Pop(); ok {
 				r.visit(r, m)
-				c.processed.Add(1)
 				r.processedHere++
 				sinceFlush++
 				if sinceFlush >= flushEvery {
@@ -226,16 +239,15 @@ func (r *Rank) runAsync() TraversalStats {
 					// on stale distances.
 					r.maybeYield()
 				}
-				if !dist && c.pending.Add(-1) == 0 {
-					c.closeDone()
-				}
 				continue
 			}
 		}
-		// Local queue empty: everything staged and buffered must go out
-		// before we sleep, or the system deadlocks with work parked in
-		// buffers. A flushed outbox re-seeds the local queue (the
-		// broadcast's self-copy), so restart the loop.
+		// Local queue empty: give back the rank's pending unit, then
+		// everything staged and buffered must go out before we sleep, or
+		// the system deadlocks with work parked in buffers. A flushed
+		// outbox re-seeds the local queue (the broadcast's self-copy), so
+		// restart the loop.
+		r.releaseHeld()
 		if r.flushOutbox() {
 			r.flushAll()
 			continue
@@ -274,10 +286,7 @@ func (r *Rank) runAsync() TraversalStats {
 			r.drainInbox()
 		case <-done:
 			c.idleRanks.Add(-1)
-			return TraversalStats{
-				Processed: r.processedHere, Sent: r.sentHere,
-				BucketsDrained: r.drainsHere, FrontierMsgs: r.frontierMsgsHere,
-			}
+			return r.finishTraversal(0)
 		case <-c.abort:
 			c.idleRanks.Add(-1)
 			panic(errAborted)
@@ -289,7 +298,6 @@ func (r *Rank) runAsync() TraversalStats {
 // queue, exchange messages, barrier, repeat until no rank received
 // anything.
 func (r *Rank) runBSP() TraversalStats {
-	c := r.comm
 	r.bsp = true
 	defer func() { r.bsp = false }()
 	// Move init messages (buffered, including self-sends) into round 1.
@@ -305,10 +313,7 @@ func (r *Rank) runBSP() TraversalStats {
 	for {
 		pending := int64(r.queue.Len())
 		if r.AllreduceSumInt64(pending) == 0 {
-			return TraversalStats{
-				Processed: r.processedHere, Sent: r.sentHere, Supersteps: steps,
-				BucketsDrained: r.drainsHere, FrontierMsgs: r.frontierMsgsHere,
-			}
+			return r.finishTraversal(steps)
 		}
 		steps++
 		for {
@@ -318,7 +323,6 @@ func (r *Rank) runBSP() TraversalStats {
 			if bucketQ == nil {
 				if m, ok := r.queue.Pop(); ok {
 					r.visit(r, m)
-					c.processed.Add(1)
 					r.processedHere++
 					continue
 				}

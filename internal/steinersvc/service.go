@@ -128,7 +128,7 @@ type serviceStats struct {
 
 	// Parallel-frontier accounting: the largest resolved per-rank worker
 	// count seen, buckets drained on the pools, messages relaxed there, the
-	// largest per-worker chunk, lex-min merge conflicts, and the pools'
+	// largest per-worker chunk, superseded tokens skipped, and the pools'
 	// busy/wall nanoseconds (for the busy-fraction gauge).
 	frontierWorkers   int
 	frontierDrains    int64
@@ -536,8 +536,8 @@ type MSTStats struct {
 // FrontierStats is the /stats accounting of the parallel bucket frontier:
 // the drain mode, the largest resolved per-rank worker count, buckets
 // drained on the worker pools (0 = every rank drained serially), messages
-// relaxed there, the largest per-worker chunk, commutative lex-min merge
-// conflicts, and the pools' aggregate busy fraction
+// relaxed there, the largest per-worker chunk, superseded tokens the
+// drains skipped, and the pools' aggregate busy fraction
 // (busyNs / (wallNs × workers); 0 when nothing drained in parallel).
 type FrontierStats struct {
 	Mode           string  `json:"mode"`

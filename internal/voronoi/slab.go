@@ -262,6 +262,28 @@ func (sl *StateSlab) Set(v graph.VID, src, pred graph.VID, dist graph.Dist) {
 	sl.dist[i] = dist
 }
 
+// mergeOffer implements floodState.
+func (sl *StateSlab) mergeOffer(v, seed, pred graph.VID, dist graph.Dist) bool {
+	i := sl.row(v)
+	if sl.epoch[i] != sl.cur {
+		sl.epoch[i] = sl.cur
+		sl.src[i], sl.pred[i], sl.dist[i] = seed, pred, dist
+		return true
+	}
+	od, os := sl.dist[i], sl.src[i]
+	if !offerBetter(dist, seed, pred, od, os, sl.pred[i]) {
+		return false
+	}
+	sl.src[i], sl.pred[i], sl.dist[i] = seed, pred, dist
+	return dist != od || seed != os
+}
+
+// holds implements floodState.
+func (sl *StateSlab) holds(v, seed graph.VID, dist graph.Dist) bool {
+	i := sl.row(v)
+	return sl.epoch[i] == sl.cur && sl.dist[i] == dist && sl.src[i] == seed
+}
+
 // MarkWalked records that v's predecessor chain has been walked this epoch
 // (Alg. 6) and reports whether the mark is new — false means v was already
 // walked and the caller should stop. Replaces the shared O(|V|) walked

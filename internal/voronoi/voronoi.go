@@ -11,7 +11,16 @@
 // neighbors; predecessor-only improvements do not (they cannot change any
 // neighbor's offer). The unique fixed point therefore does not depend on
 // rank count, queue discipline or message timing — property-tested in
-// voronoi_test.go and relied on by the paper-reproduction experiments.
+// voronoi_test.go against the Sequential oracle in every runtime mode and
+// relied on by the paper-reproduction experiments.
+//
+// Offers are merged when they reach the owner's queue, not when they are
+// popped (runtime.Traversal.Merge): a same-rank send or an inbound batch
+// compares the offer with the owned row at once, drops a loser, installs
+// a winner, and queues a settle token only for a (dist, seed)
+// improvement. The queue thus holds at most a few tokens per vertex
+// instead of one message per arc relaxation; popping a token whose row has
+// improved since is a one-compare skip.
 //
 // The flood is query-mode agnostic. Steiner Forest and prize-collecting
 // queries (core.QuerySpec) reuse the exact same cell computation: every
@@ -116,6 +125,26 @@ func (st *State) Set(v graph.VID, src, pred graph.VID, dist graph.Dist) {
 	st.dist[v] = dist
 }
 
+// mergeOffer implements floodState.
+func (st *State) mergeOffer(v, seed, pred graph.VID, dist graph.Dist) bool {
+	if st.epoch[v] != st.cur {
+		st.epoch[v] = st.cur
+		st.src[v], st.pred[v], st.dist[v] = seed, pred, dist
+		return true
+	}
+	od, os := st.dist[v], st.src[v]
+	if !offerBetter(dist, seed, pred, od, os, st.pred[v]) {
+		return false
+	}
+	st.src[v], st.pred[v], st.dist[v] = seed, pred, dist
+	return dist != od || seed != os
+}
+
+// holds implements floodState.
+func (st *State) holds(v, seed graph.VID, dist graph.Dist) bool {
+	return st.epoch[v] == st.cur && st.dist[v] == dist && st.src[v] == seed
+}
+
 // MemoryBytes reports the state's footprint (Fig. 8 accounting), including
 // the epoch array that buys O(1) reuse.
 func (st *State) MemoryBytes() int64 {
@@ -134,6 +163,27 @@ func offerBetter(nd graph.Dist, ns, np graph.VID, od graph.Dist, os, op graph.VI
 	}
 	return np < op
 }
+
+// floodState is the row access the Voronoi traversal itself needs, on top
+// of the Control API the later phases read: the enqueue-time merge and the
+// settle-token check, each a single row lookup. Both the shared State and
+// the rank-local StateSlab implement it.
+type floodState interface {
+	// mergeOffer folds offer (dist, seed, pred) into v's row under the
+	// strict (dist, seed, pred) order and reports whether it must be
+	// queued as a settle token: true only when the row's (dist, seed)
+	// improved. A pred-only improvement is installed but queues nothing —
+	// it cannot change any neighbour's offer.
+	mergeOffer(v, seed, pred graph.VID, dist graph.Dist) bool
+	// holds reports whether v's row still carries (dist, seed), i.e. no
+	// later merge superseded the settle token that installed it.
+	holds(v, seed graph.VID, dist graph.Dist) bool
+}
+
+var (
+	_ floodState = (*State)(nil)
+	_ floodState = (*StateSlab)(nil)
+)
 
 // delegateRelax marks broadcast messages that ask every rank to relax its
 // stripe of a high-degree delegate's adjacency.
@@ -202,13 +252,15 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 		}
 	}
 	// Bucket-drain form of the visit for the intra-rank parallel frontier:
-	// same tie-break and state writes, but outbound offers are emitted into
-	// the worker's staging outbox instead of sent. Safe without locks
-	// because the pool partitions a drained bucket by Target and every
-	// state row a visit touches — the owned row (Get/Set) and the delegate
-	// mirror row (ObserveDelegate) alike — is keyed by Target. The
-	// changed-since filter is deliberately NOT applied here: it reads other
-	// vertices' mirror rows, which concurrent chunks may be folding.
+	// the drained bucket holds settle tokens, and a current token's
+	// outbound offers are emitted into the worker's staging outbox instead
+	// of sent. Workers only read owned rows — merging happens when the
+	// rank goroutine replays the stages — and the only row they write is
+	// the delegate mirror row (ObserveDelegate); both are keyed by Target,
+	// which the pool partitions a drained bucket by, so no locks are
+	// needed. The changed-since filter is deliberately NOT applied here:
+	// it reads other vertices' mirror rows, which concurrent chunks may be
+	// folding.
 	parallelVisit := func(r *rt.Rank, m rt.Msg, w int, emit func(rt.Msg)) {
 		if m.Kind == delegateRelax {
 			v := m.Target
@@ -219,20 +271,13 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 			}
 			return
 		}
-		vj := m.Target
-		os, op, od := sl.Get(vj)
-		if !offerBetter(m.Dist, m.Seed, m.From, od, os, op) {
-			// A concurrently relaxed chunk (or earlier traffic) already
-			// installed a lex-better entry: the commutative merge resolved
-			// a conflict the serial order never sees as one.
+		if !sl.holds(m.Target, m.Seed, m.Dist) {
+			// A later merge superseded this token's (dist, seed): the
+			// newer token relaxes the same neighbours with better offers.
 			r.FrontierConflict(w)
 			return
 		}
-		distImproved := m.Dist != od || m.Seed != os
-		sl.Set(vj, m.Seed, m.From, m.Dist)
-		if !distImproved {
-			return
-		}
+		vj := m.Target
 		if r.IsDelegate(vj) {
 			emit(rt.Msg{Target: vj, From: vj, Seed: m.Seed, Dist: m.Dist, Kind: delegateRelax})
 			return
@@ -331,14 +376,18 @@ func runGlobal(r *rt.Rank, g *graph.Graph, seeds []graph.VID, st *State, bsp boo
 
 // runWith is the shared traversal skeleton: tie-breaking and state updates
 // are identical for the slab-state and shared-state paths (st is the
-// Control view of either), so the two can only differ if an adjacency or
-// state source yields different values — exactly what the equivalence
-// property tests pin down.
-func runWith(r *rt.Rank, seeds []graph.VID, st Control, bsp bool,
+// floodState view of either), so the two can only differ if an adjacency
+// or state source yields different values — exactly what the equivalence
+// property tests pin down. Loopback, TCP and BSP traversals all take this
+// one path: Merge folds each offer into the owned row as it reaches the
+// owner's queue (see the package comment), and Visit relaxes a popped
+// settle token's neighbours only while the row still holds its
+// (dist, seed).
+func runWith(r *rt.Rank, seeds []graph.VID, st floodState, bsp bool,
 	relaxNeighbors func(r *rt.Rank, v graph.VID, src graph.VID, dist graph.Dist),
 	relaxStripe func(r *rt.Rank, m rt.Msg),
 	parallelVisit rt.ParallelVisitFunc, parallelFlush rt.VisitFunc) rt.TraversalStats {
-	tr := &rt.Traversal{
+	return r.Traverse(&rt.Traversal{
 		Key:           rt.DistKey,
 		BSP:           bsp,
 		ParallelVisit: parallelVisit,
@@ -350,45 +399,26 @@ func runWith(r *rt.Rank, seeds []graph.VID, st Control, bsp bool,
 				}
 			}
 		},
+		Merge: func(r *rt.Rank, m rt.Msg) bool {
+			if m.Kind == delegateRelax {
+				// A delegate broadcast always queues: its stripe relax
+				// must run whatever this rank's mirror holds, and the
+				// delegate's owner already installed the state.
+				return true
+			}
+			return st.mergeOffer(m.Target, m.Seed, m.From, m.Dist)
+		},
 		Visit: func(r *rt.Rank, m rt.Msg) {
 			if m.Kind == delegateRelax {
 				// Relax this rank's stripe of the delegate's adjacency.
-				// State was already updated by the delegate's owner.
 				relaxStripe(r, m)
 				return
 			}
-			vj := m.Target
-			os, op, od := st.Get(vj)
-			if !offerBetter(m.Dist, m.Seed, m.From, od, os, op) {
-				return
-			}
-			distImproved := m.Dist != od || m.Seed != os
-			st.Set(vj, m.Seed, m.From, m.Dist)
-			if distImproved {
-				relaxNeighbors(r, vj, m.Seed, m.Dist)
+			if st.holds(m.Target, m.Seed, m.Dist) {
+				relaxNeighbors(r, m.Target, m.Seed, m.Dist)
 			}
 		},
-	}
-	if r.Distributed() {
-		// Dominance pre-filter for inbound offers: an offer the owned entry
-		// already lexicographically beats would be rejected by Visit
-		// unchanged — state only ever improves — so it is dropped before
-		// paying for a queue insertion. Exact ties are NOT dropped here or
-		// in Visit (offerBetter is strict), and delegate broadcasts always
-		// pass: their stripe relax must run regardless of the mirror's
-		// view. Distributed sessions only: transport batching widens the
-		// staleness window that makes the check pay; loopback ranks drain
-		// fresh offers, and for them the extra state lookup per message is
-		// pure overhead.
-		tr.Admit = func(r *rt.Rank, m rt.Msg) bool {
-			if m.Kind == delegateRelax {
-				return true
-			}
-			os, op, od := st.Get(m.Target)
-			return offerBetter(m.Dist, m.Seed, m.From, od, os, op)
-		}
-	}
-	return r.Traverse(tr)
+	})
 }
 
 // Compute runs the Voronoi-cell phase standalone on a fresh traversal over
