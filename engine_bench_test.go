@@ -84,12 +84,14 @@ func BenchmarkEngineReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkLadder measures the bottom rung of the layer-tax ladder on the
+// BenchmarkLadder measures the bottom rungs of the layer-tax ladder on the
 // same graph and queries as BenchmarkEngineReuse: l0_mehlhorn is the
 // sequential floor (baseline.Mehlhorn), l1_1rank one resident 1-rank
 // Engine — the runtime message plane and queue with no partition,
-// mailboxes or wire. Both sides come from one run, so their ratio holds
-// across hardware; CI gates l1_1rank <= 2.0 * l0_mehlhorn.
+// mailboxes or wire — and l2_loopback one resident 4-rank loopback Engine,
+// which adds the partition, the mailboxes and phase 2's ghost push. All
+// rungs come from one run, so their ratios hold across hardware; CI gates
+// l1_1rank <= 2.0 * l0_mehlhorn and l2_loopback <= 1.6 * l1_1rank.
 func BenchmarkLadder(b *testing.B) {
 	g := benchSolveGraph(b)
 	seedSets := benchSeedSets(g, 16, 16)
@@ -101,20 +103,24 @@ func BenchmarkLadder(b *testing.B) {
 			}
 		}
 	})
-	b.Run("l1_1rank", func(b *testing.B) {
-		e, err := dsteiner.NewEngine(g, dsteiner.Defaults(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer e.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := e.Solve(seedSets[i%len(seedSets)]); err != nil {
+	engineRung := func(ranks int) func(*testing.B) {
+		return func(b *testing.B) {
+			e, err := dsteiner.NewEngine(g, dsteiner.Defaults(ranks))
+			if err != nil {
 				b.Fatal(err)
 			}
+			defer e.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := e.Solve(seedSets[i%len(seedSets)]); err != nil {
+					b.Fatal(err)
+				}
+			}
 		}
-	})
+	}
+	b.Run("l1_1rank", engineRung(1))
+	b.Run("l2_loopback", engineRung(4))
 }
 
 // BenchmarkTCPTransportSolve is the loopback-vs-wire comparison: the same

@@ -59,6 +59,7 @@ type Engine struct {
 	trees     [][]graph.Edge        // per-rank phase-6 edge accumulators
 	owneds    []map[int64]crossEdge // per-rank fragment-merge table shards
 	frags     [][]int32             // per-rank fragment-label arrays
+	ghosts    []ghostTable          // per-rank phase-2 ghost tables
 
 	// mstMode is the resolved phase 3–5 merge strategy (never auto):
 	// fragment by default, replicated in GlobalCSR reference mode or when
@@ -168,6 +169,7 @@ func newEngine(g *graph.Graph, opts Options, part partition.Partition,
 		trees:    make([][]graph.Edge, opts.Ranks),
 		owneds:   make([]map[int64]crossEdge, opts.Ranks),
 		frags:    make([][]int32, opts.Ranks),
+		ghosts:   make([]ghostTable, opts.Ranks),
 		mstMode:  opts.MSTMode,
 		frontier: frontier,
 	}
@@ -464,6 +466,7 @@ func (e *Engine) solveCanonLocked(cq canonQuery) (*Result, error) {
 		trees:       e.trees,
 		owneds:      e.owneds,
 		frags:       e.frags,
+		ghosts:      e.ghosts,
 		st:          e.st,
 		walked:      e.walked,
 		walkedGen:   e.walkedGen,

@@ -5,7 +5,7 @@
 //
 //  1. Voronoi Cell          — asynchronous multi-seed Bellman–Ford (Alg. 4)
 //  2. Local Min Dist. Edge  — per-rank min cross-cell edge per cell pair,
-//     with a request/reply exchange for remote endpoint distances (Alg. 5)
+//     a local scan after one push of boundary-vertex state (Alg. 5)
 //  3. Global Min Dist. Edge — rank-local cross-edge ownership with a
 //     distributed fragment merge (default), or the paper's replicated
 //     Allreduce(MIN) merge of the per-rank tables (MSTReplicated)

@@ -29,10 +29,10 @@ type PhaseStat struct {
 	// phase (collective-based phases show zero, as in Fig. 6's note).
 	Sent      int64
 	Processed int64
-	// MaxRankWork is the largest per-rank processed count — the
-	// critical-path work metric used to report machine-independent
-	// scaling shape (see docs/ARCHITECTURE.md, "Reproduction
-	// substitutions").
+	// MaxRankWork is the largest per-rank processed count (for phase 2,
+	// the ghost pushes one rank absorbed) — the critical-path work
+	// metric used to report machine-independent scaling shape (see
+	// docs/ARCHITECTURE.md, "Reproduction substitutions").
 	MaxRankWork int64
 }
 

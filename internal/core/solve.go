@@ -11,13 +11,6 @@ import (
 	rt "dsteiner/internal/runtime"
 )
 
-// Message kinds of the Local Min Dist. Edge phase (Alg. 5): a rank that
-// needs a remote endpoint's Voronoi state requests it and receives a reply.
-const (
-	kindReqDist uint8 = 1
-	kindRepDist uint8 = 2
-)
-
 // crossEdge is the value of the E_N table: the best background-graph edge
 // (U, V) bridging a cell pair, with D = d1(s,u) + d(u,v) + d1(v,t).
 type crossEdge struct {

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"dsteiner/internal/faultpoint"
@@ -60,6 +62,8 @@ type solveEnv struct {
 	owneds []map[int64]crossEdge
 	frags  [][]int32
 	merges []*mergeScratch
+	// ghosts is phase 2's pooled per-rank ghost table.
+	ghosts []ghostTable
 
 	// GlobalCSR reference-mode shared state (loopback only).
 	st        *voronoi.State
@@ -82,9 +86,9 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	// as before the shard/slab refactors. Adjacency lookups take an
 	// owned vertex first (edge weights are symmetric, so looking up
 	// {u, v} from u's slab row equals the global edge weight); state
-	// access through st touches only owned vertices — remote state is
-	// reached via the mailbox (the Alg. 5 request/reply exchange),
-	// never direct reads.
+	// access through st touches only owned vertices — remote state
+	// arrives via the mailbox (phase 2's ghost push), never direct
+	// reads.
 	adjOf := r.Adj
 	edgeWeight := r.EdgeWeight
 	var st voronoi.Control
@@ -124,69 +128,84 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	})
 
 	// Phase 2: local min-distance cross-cell edges (Alg. 5,
-	// LOCAL_MIN_DIST_EDGE_ASYNC). Remote endpoint state is fetched
-	// with a request/reply visitor exchange.
+	// LOCAL_MIN_DIST_EDGE_ASYNC) as one ghost push plus a local scan.
+	// The lower endpoint of every cut edge records the candidate, so
+	// each owned reached vertex v pushes its final (src, dist) once to
+	// every other rank owning a neighbour u < v. The receivers' Merge
+	// absorbs the pushes into their ghost tables and queues nothing, so
+	// the traversal ends as soon as the pushes are delivered. Each rank
+	// then scans its owned reached vertices u against their neighbours
+	// v > u, reading v's state from its own control state or, for a
+	// remote v, from the sorted ghost table.
 	localEN := env.localENs[r.ID()]
-	recordCandidate := func(u, v graph.VID, dv graph.Dist, srcV graph.VID) {
-		su := st.Src(u)
-		if su == graph.NilVID || srcV == graph.NilVID || su == srcV {
-			return
-		}
-		// Forest mode: a candidate joining cells of two different groups
-		// can never appear in any group's tree, so it is excluded here —
-		// the merged distance graph then holds intra-group edges only.
-		if env.groupOf != nil && env.groupOf[seedIdx[su]] != env.groupOf[seedIdx[srcV]] {
-			return
-		}
-		w, ok := edgeWeight(u, v) // u is always owned by this rank
-		if !ok {
-			return
-		}
-		cand := crossEdge{D: st.Dist(u) + graph.Dist(w) + dv, U: u, V: v}
-		key := seedKey(su, srcV)
-		if cur, ok := localEN[key]; ok {
-			localEN[key] = pickCross(cur, cand)
-		} else {
-			localEN[key] = cand
-		}
-	}
+	gt := &env.ghosts[r.ID()]
 	faultpoint.Hit("solve.phase2")
 	rec.phase(r, PhaseLocalMinEdge, func() int64 {
-		ts := r.Traverse(&rt.Traversal{
+		gt.reset(r.NumRanks())
+		r.Traverse(&rt.Traversal{
 			BSP: opts.BSP,
 			Init: func(r *rt.Rank) {
-				r.OwnedVertices(func(u graph.VID) {
-					if st.Src(u) == graph.NilVID {
+				last, me := gt.last, r.ID()
+				r.OwnedVertices(func(v graph.VID) {
+					sv, _, dv := st.Get(v)
+					if sv == graph.NilVID {
 						return
 					}
-					adj, _ := adjOf(u)
-					for _, v := range adj {
+					adj, _ := adjOf(v)
+					for _, u := range adj {
 						if u >= v {
-							continue // lower endpoint initiates
+							break // rows are sorted; only lower neighbours record
 						}
-						if r.Owns(v) {
-							recordCandidate(u, v, st.Dist(v), st.Src(v))
-						} else {
-							r.Send(rt.Msg{Target: v, From: u, Kind: kindReqDist})
+						// v's arcs are scanned consecutively, so last[p]
+						// dedups the sends to one per (v, rank p).
+						if p := r.Owner(u); p != me && last[p] != v {
+							last[p] = v
+							r.Send(rt.Msg{Target: u, From: v, Seed: sv, Dist: dv})
 						}
 					}
 				})
 			},
-			Visit: func(r *rt.Rank, m rt.Msg) {
-				switch m.Kind {
-				case kindReqDist:
-					v := m.Target
-					r.Send(rt.Msg{
-						Target: m.From, From: v,
-						Seed: st.Src(v), Dist: st.Dist(v),
-						Kind: kindRepDist,
-					})
-				case kindRepDist:
-					recordCandidate(m.Target, m.From, m.Dist, m.Seed)
-				}
+			Merge: func(_ *rt.Rank, m rt.Msg) bool {
+				gt.rows = append(gt.rows, ghostRow{V: m.From, Src: m.Seed, Dist: m.Dist})
+				return false
 			},
 		})
-		return ts.Processed
+		gt.index()
+		r.OwnedVertices(func(u graph.VID) {
+			su, _, du := st.Get(u)
+			if su == graph.NilVID {
+				return
+			}
+			adj, ws := adjOf(u)
+			for i := len(adj) - 1; i >= 0 && adj[i] > u; i-- {
+				v := adj[i]
+				var sv graph.VID
+				var dv graph.Dist
+				if r.Owns(v) {
+					sv, _, dv = st.Get(v)
+				} else {
+					sv, dv = gt.lookup(v)
+				}
+				if sv == graph.NilVID || sv == su {
+					continue
+				}
+				// Forest mode: a candidate joining cells of two different
+				// groups can never appear in any group's tree, so it is
+				// excluded here — the merged distance graph then holds
+				// intra-group edges only.
+				if env.groupOf != nil && env.groupOf[seedIdx[su]] != env.groupOf[seedIdx[sv]] {
+					continue
+				}
+				cand := crossEdge{D: du + graph.Dist(ws[i]) + dv, U: u, V: v}
+				key := seedKey(su, sv)
+				if cur, ok := localEN[key]; ok {
+					localEN[key] = pickCross(cur, cand)
+				} else {
+					localEN[key] = cand
+				}
+			}
+		})
+		return int64(len(gt.rows)) // the pushes this rank absorbed
 	})
 
 	// Phase 3: global min-distance edges. The fragment merge routes each
@@ -490,6 +509,86 @@ func forestDisconnectedErr(groupOf []int32, numGroups, nT int, edges []mst.WEdge
 		}
 	}
 	return fmt.Errorf("core: forest groups are not all connected")
+}
+
+// ghostRow is one boundary vertex's final Voronoi state as its owner
+// pushed it in phase 2.
+type ghostRow struct {
+	Dist graph.Dist
+	V    graph.VID
+	Src  graph.VID
+}
+
+// ghostTable is a rank's pooled phase-2 scratch: the rows its peers
+// pushed this query, a bucket index over them, and last, the
+// per-destination-rank dedup mark of the rank's own push. Every part is
+// O(ghost vertices), never O(|V|).
+type ghostTable struct {
+	rows []ghostRow
+	// start[b] is the first row of bucket b once the rows are sorted by
+	// vertex; bucket b holds the vertices v with (v-lo)>>shift == b.
+	start []int32
+	lo    graph.VID
+	shift uint
+	last  []graph.VID
+}
+
+// reset empties the table for a new query on a ranks-rank communicator.
+func (gt *ghostTable) reset(ranks int) {
+	gt.rows = gt.rows[:0]
+	if len(gt.last) != ranks {
+		gt.last = make([]graph.VID, ranks)
+	}
+	for p := range gt.last {
+		gt.last[p] = graph.NilVID
+	}
+}
+
+// index sorts the rows by vertex and builds the bucket index, with the
+// bucket width the smallest power of two that leaves at most one bucket
+// per row. A vertex has one owner, which pushes it to a given rank at most
+// once, so the keys are unique.
+func (gt *ghostTable) index() {
+	rows := gt.rows
+	slices.SortFunc(rows, func(a, b ghostRow) int { return cmp.Compare(a.V, b.V) })
+	gt.start = gt.start[:0]
+	if len(rows) == 0 {
+		return
+	}
+	gt.lo = rows[0].V
+	span := uint64(rows[len(rows)-1].V-gt.lo) + 1
+	gt.shift = 0
+	for span>>gt.shift > uint64(len(rows)) {
+		gt.shift++
+	}
+	for i, row := range rows {
+		b := int(uint64(row.V-gt.lo) >> gt.shift)
+		for len(gt.start) <= b {
+			gt.start = append(gt.start, int32(i))
+		}
+	}
+	gt.start = append(gt.start, int32(len(rows)))
+}
+
+// lookup returns remote vertex v's pushed (src, dist), or (NilVID,
+// InfDist) when v pushed nothing here: it is unreached.
+func (gt *ghostTable) lookup(v graph.VID) (graph.VID, graph.Dist) {
+	if d := int64(v) - int64(gt.lo); d >= 0 && d>>gt.shift < int64(len(gt.start)-1) {
+		b := d >> gt.shift
+		lo, hi := int(gt.start[b]), int(gt.start[b+1])
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if gt.rows[mid].V < v {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		if lo < len(gt.rows) && gt.rows[lo].V == v {
+			return gt.rows[lo].Src, gt.rows[lo].Dist
+		}
+	}
+	return graph.NilVID, graph.InfDist
 }
 
 // mergeScratch is a rank's pooled replicated-merge wire scratch: the

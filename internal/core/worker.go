@@ -205,6 +205,7 @@ type worker struct {
 	owneds   []map[int64]crossEdge
 	frags    [][]int32
 	merges   []*mergeScratch
+	ghosts   []ghostTable
 }
 
 // buildWorker reconstructs the rank substrate from the setup frame and
@@ -260,6 +261,7 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 		owneds:   make([]map[int64]crossEdge, setup.Ranks),
 		frags:    make([][]int32, setup.Ranks),
 		merges:   make([]*mergeScratch, setup.Ranks),
+		ghosts:   make([]ghostTable, setup.Ranks),
 	}
 	if w.mstMode != MSTFragment {
 		w.mstMode = MSTReplicated // absent/unknown ⇒ the legacy path
@@ -419,6 +421,7 @@ func (w *worker) solveQuery(q wire.SolveSpec, cfg WorkerConfig) (err error) {
 		owneds:      w.owneds,
 		frags:       w.frags,
 		merges:      w.merges,
+		ghosts:      w.ghosts,
 	}
 	s0 := w.comm.Stats()
 	net0 := w.trans.NetStats()

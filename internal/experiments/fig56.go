@@ -77,6 +77,7 @@ func Fig56(cfg Config) ([]tables.Table, error) {
 	timeT.AddNote("offers merge into owner state on arrival under both queues, so FIFO no longer visits dominated offers and the gap narrows")
 	msgT.AddNote("paper: message improvement 4.9x (FRS), 6.1x (UKW), 22.1x (LVJ)")
 	msgT.AddNote("smaller here: FIFO's dominated offers are dropped when they reach the owner's queue, so they never fan out; the paper queues every offer")
+	msgT.AddNote("LocMinE sends one ghost message per (boundary vertex, neighbour rank) pair, not the paper's request/reply pair per cut arc")
 	msgT.AddNote("collective phases (GlbMinE, MST, Prune) send no visitor messages, as in the paper")
 	return []tables.Table{timeT, msgT}, nil
 }

@@ -15,8 +15,8 @@ import (
 // StateSlab (owned vertices only — the production path). Ownership
 // discipline is identical for both: only v's owner rank may touch v's entry
 // while a traversal is running, with remote entries reached through mailbox
-// messages (the Voronoi relaxations of Alg. 4, the request/reply exchange
-// of Alg. 5), never direct access.
+// messages (the Voronoi relaxations of Alg. 4, the phase-2 ghost push of
+// Alg. 5), never direct access.
 type Control interface {
 	// Reached reports whether v has a valid (current-epoch) entry.
 	Reached(v graph.VID) bool
