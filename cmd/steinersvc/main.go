@@ -97,8 +97,6 @@ func main() {
 		partKind   = flag.String("partition", "arcblock", "vertex partition: block | hash | arcblock")
 		mstMode    = flag.String("mst", "auto", "phase 3-5 merge: auto | fragment | replicated")
 		queueKind  = flag.String("queue", "priority", "message queue discipline: fifo | priority | bucket")
-		frontier   = flag.String("frontier", "auto", "bucket drain mode: auto | serial | parallel (parallel needs -queue bucket)")
-		frontWkrs  = flag.Int("frontier-workers", 0, "per-process frontier worker budget, split across hosted ranks (0 = GOMAXPROCS)")
 		delegates  = flag.Int("delegates", 0, "delegate high-degree vertices above this degree (0 = off)")
 		engines    = flag.Int("engines", 1, "resident solver engines (max concurrent queries; must be 1 with -backend tcp)")
 		cache      = flag.Int("cache", 256, "LRU solution cache entries (0 disables)")
@@ -142,12 +140,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "steinersvc: %v\n", err)
 		os.Exit(1)
 	}
-	opts.Frontier, err = dsteiner.ParseFrontier(*frontier)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "steinersvc: %v\n", err)
-		os.Exit(1)
-	}
-	opts.FrontierWorkers = *frontWkrs
 	opts.Backend, err = dsteiner.ParseBackend(*backend)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "steinersvc: %v\n", err)

@@ -93,9 +93,6 @@ type (
 	QuerySpec = core.QuerySpec
 	// Mode selects a query kind: ModeTree, ModeForest or ModePrize.
 	Mode = core.Mode
-	// FrontierMode selects how a rank drains its Δ-stepping bucket queue:
-	// FrontierAuto, FrontierSerial or FrontierParallel.
-	FrontierMode = core.FrontierMode
 )
 
 // Query modes (see docs/API.md for the per-mode semantics).
@@ -170,22 +167,6 @@ func ParseMSTMode(s string) (core.MSTMode, error) { return core.ParseMSTMode(s) 
 
 // ParseQueue maps "fifo", "priority" or "bucket" to its queue discipline.
 func ParseQueue(s string) (rt.QueueKind, error) { return core.ParseQueue(s) }
-
-// Frontier drain modes: how a rank drains its Δ-stepping bucket queue
-// (see internal/core Options.Frontier).
-const (
-	// FrontierAuto drains in parallel when the bucket discipline is active
-	// and more than one worker per rank is available, serially otherwise.
-	FrontierAuto = core.FrontierAuto
-	// FrontierSerial always drains one message at a time (the oracle path).
-	FrontierSerial = core.FrontierSerial
-	// FrontierParallel drains whole buckets on a per-rank worker pool;
-	// requires Options.Queue == QueueBucket.
-	FrontierParallel = core.FrontierParallel
-)
-
-// ParseFrontier maps "auto", "serial" or "parallel" to its FrontierMode.
-func ParseFrontier(s string) (core.FrontierMode, error) { return core.ParseFrontier(s) }
 
 // WorkerConfig parameterizes RunWorker (peer listen address, timeouts).
 type WorkerConfig = core.WorkerConfig

@@ -141,11 +141,6 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 			PartitionKind:     kind,
 			ArcBounds:         bounds,
 			Delegates:         plan.Delegates(),
-			// The frontier mode ships UNRESOLVED (unlike MSTMode): auto
-			// depends on each worker's own GOMAXPROCS, so every worker
-			// resolves it locally against its hosted rank count.
-			Frontier:        frontierToWire(opts.Frontier),
-			FrontierWorkers: uint64(max(0, opts.FrontierWorkers)),
 		}
 		for rank := lo; rank < hi; rank++ {
 			owned, offsets, targets, weights, stripeOff, stripeTargets, stripeWeights := shards[rank].Slices()
@@ -171,29 +166,14 @@ func newClusterEngine(g *graph.Graph, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("core: tcp backend: MSTFragment needs a wire v4 session; this fleet negotiated v%d (use auto or replicated)",
 			hub.WireVersion())
 	}
-	if opts.Frontier == FrontierParallel && hub.WireVersion() < 6 {
-		hub.Close()
-		return nil, fmt.Errorf("core: tcp backend: FrontierParallel needs a wire v6 session; this fleet negotiated v%d (use auto or serial)",
-			hub.WireVersion())
-	}
 	cl.hub = hub
-
-	// The coordinator cannot resolve FrontierAuto — that happens on each
-	// worker against its own GOMAXPROCS — so a cluster Engine reports the
-	// requested mode, clamped to serial on pre-v6 fleets whose Setup cannot
-	// carry the frontier tail.
-	frontier := opts.Frontier
-	if hub.WireVersion() < 6 {
-		frontier = FrontierSerial
-	}
 	return &Engine{
-		g:        g,
-		opts:     opts,
-		cluster:  cl,
-		plan:     plan,
-		mstMode:  resolveMSTModeTCP(opts.MSTMode, hub.WireVersion()),
-		frontier: frontier,
-		seen:     make(map[graph.VID]bool),
+		g:       g,
+		opts:    opts,
+		cluster: cl,
+		plan:    plan,
+		mstMode: resolveMSTModeTCP(opts.MSTMode, hub.WireVersion()),
+		seen:    make(map[graph.VID]bool),
 	}, nil
 }
 
@@ -250,13 +230,6 @@ func (cl *cluster) solve(e *Engine, cq canonQuery) (*Result, error) {
 	res.SuppressedBroadcasts = out.Suppressed
 	res.BatchedBroadcasts = out.Batched
 	res.CoalescedBroadcasts = out.Coalesced
-	res.FrontierWorkers = int(out.FrontierWorkers)
-	res.FrontierBucketsDrained = out.FrontierDrains
-	res.FrontierMsgs = out.FrontierMsgs
-	res.FrontierMaxChunk = out.FrontierMaxChunk
-	res.FrontierConflicts = out.FrontierConflicts
-	res.FrontierBusyNs = out.FrontierBusyNs
-	res.FrontierWallNs = out.FrontierWallNs
 	res.Net = transport.FromNetStats(out.Net)
 	res.SteinerVertices = countSteinerVertices(res.Tree, dedup)
 	res.Memory = memoryStatsFromLens(e.g, cl.shard.ShardBytes, cl.stateBytes, out.TableLens, res, e.opts)

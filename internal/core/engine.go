@@ -65,11 +65,6 @@ type Engine struct {
 	// fragment by default, replicated in GlobalCSR reference mode or when
 	// pinned by Options.MSTMode.
 	mstMode MSTMode
-
-	// frontier is the resolved bucket-drain strategy (never auto): parallel
-	// when the bucket discipline, the sharded path and a multi-worker
-	// budget line up — or when pinned by Options.Frontier.
-	frontier FrontierMode
 }
 
 // NewEngine builds a reusable solver session for g. The returned Engine
@@ -80,14 +75,6 @@ func NewEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	if opts.MSTMode == MSTFragment && opts.GlobalCSR {
 		return nil, fmt.Errorf("core: MSTFragment needs the sharded path (GlobalCSR is the replicated reference mode)")
-	}
-	if opts.Frontier == FrontierParallel {
-		if opts.Queue != rt.QueueBucket {
-			return nil, fmt.Errorf("core: FrontierParallel requires the bucket queue discipline (Options.Queue = QueueBucket)")
-		}
-		if opts.GlobalCSR {
-			return nil, fmt.Errorf("core: FrontierParallel needs the sharded path (GlobalCSR is the serial reference mode)")
-		}
 	}
 	if opts.Backend == BackendTCP {
 		return newClusterEngine(g, opts)
@@ -142,16 +129,13 @@ func (e *Engine) NewSibling() (*Engine, error) {
 func newEngine(g *graph.Graph, opts Options, part partition.Partition,
 	plan *partition.ShardPlan, shards []*graph.Shard) (*Engine, error) {
 	n := g.NumVertices()
-	frontier := resolveFrontierLocal(opts)
 	comm, err := rt.New(rt.Config{
-		Ranks:            opts.Ranks,
-		Queue:            opts.Queue,
-		BucketDelta:      opts.BucketDelta,
-		BatchSize:        opts.BatchSize,
-		ShuffleDelivery:  opts.ShuffleDelivery,
-		ShuffleSeed:      opts.ShuffleSeed,
-		FrontierParallel: frontier == FrontierParallel,
-		FrontierWorkers:  opts.FrontierWorkers,
+		Ranks:           opts.Ranks,
+		Queue:           opts.Queue,
+		BucketDelta:     opts.BucketDelta,
+		BatchSize:       opts.BatchSize,
+		ShuffleDelivery: opts.ShuffleDelivery,
+		ShuffleSeed:     opts.ShuffleSeed,
 	}, part)
 	if err != nil {
 		return nil, err
@@ -171,7 +155,6 @@ func newEngine(g *graph.Graph, opts Options, part partition.Partition,
 		frags:    make([][]int32, opts.Ranks),
 		ghosts:   make([]ghostTable, opts.Ranks),
 		mstMode:  opts.MSTMode,
-		frontier: frontier,
 	}
 	if e.mstMode == MSTModeAuto {
 		if opts.GlobalCSR {
@@ -261,11 +244,6 @@ type ShardStats struct {
 // (never MSTModeAuto: auto is resolved at construction, on the TCP backend
 // against the fleet's negotiated wire version).
 func (e *Engine) MSTMode() MSTMode { return e.mstMode }
-
-// Frontier reports the resolved bucket-drain strategy (never FrontierAuto:
-// auto is resolved at construction, on the TCP backend against the fleet's
-// negotiated wire version).
-func (e *Engine) Frontier() FrontierMode { return e.frontier }
 
 // ShardStats reports the engine's shard substrate. In GlobalCSR reference
 // mode only Partition/Ranks/DelegateThreshold are populated.
@@ -480,13 +458,6 @@ func (e *Engine) solveCanonLocked(cq canonQuery) (*Result, error) {
 	res.SuppressedBroadcasts = s1.Suppressed - s0.Suppressed
 	res.BatchedBroadcasts = s1.BatchedBroadcasts - s0.BatchedBroadcasts
 	res.CoalescedBroadcasts = s1.CoalescedBroadcasts - s0.CoalescedBroadcasts
-	res.FrontierWorkers = s1.Frontier.Workers
-	res.FrontierBucketsDrained = s1.Frontier.BucketsDrained - s0.Frontier.BucketsDrained
-	res.FrontierMsgs = s1.Frontier.Messages - s0.Frontier.Messages
-	res.FrontierMaxChunk = s1.Frontier.MaxChunk // high-water mark, not a delta
-	res.FrontierConflicts = s1.Frontier.Conflicts - s0.Frontier.Conflicts
-	res.FrontierBusyNs = s1.Frontier.BusyNs - s0.Frontier.BusyNs
-	res.FrontierWallNs = s1.Frontier.WallNs - s0.Frontier.WallNs
 
 	res.SteinerVertices = countSteinerVertices(res.Tree, dedup)
 	res.Memory = memoryStats(g, e.ShardStats().ShardBytes, e.stateBytes(), e.localENs, res, opts)

@@ -23,7 +23,6 @@ package core
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	rt "dsteiner/internal/runtime"
@@ -136,104 +135,6 @@ func ParseMSTMode(s string) (MSTMode, error) {
 	}
 }
 
-// FrontierMode selects how a rank drains its Δ-stepping bucket queue in the
-// vertex-centric phases: one message at a time (serial) or whole buckets at
-// a time on a per-rank worker pool (parallel). The converged fixed point is
-// order-independent (strict lex (dist, seed, pred) tie-breaking), so the
-// two paths produce byte-identical Results; serial is retained as the
-// equivalence oracle.
-type FrontierMode int
-
-const (
-	// FrontierAuto picks parallel when it can pay off: the bucket queue
-	// discipline is active, the sharded (non-GlobalCSR) path is in use, and
-	// the resolved per-rank worker count exceeds 1. Anything else runs
-	// serial.
-	FrontierAuto FrontierMode = iota
-	// FrontierSerial always drains one message at a time.
-	FrontierSerial
-	// FrontierParallel drains whole buckets on the per-rank worker pool.
-	// Requires QueueBucket and the sharded path; on BackendTCP it also
-	// requires a session negotiated at wire v6+.
-	FrontierParallel
-)
-
-// String returns the flag/API name of the frontier mode.
-func (m FrontierMode) String() string {
-	switch m {
-	case FrontierSerial:
-		return "serial"
-	case FrontierParallel:
-		return "parallel"
-	default:
-		return "auto"
-	}
-}
-
-// ParseFrontier maps a flag/API string to its FrontierMode ("auto",
-// "serial", "parallel").
-func ParseFrontier(s string) (FrontierMode, error) {
-	switch s {
-	case "", "auto":
-		return FrontierAuto, nil
-	case "serial":
-		return FrontierSerial, nil
-	case "parallel":
-		return FrontierParallel, nil
-	default:
-		return FrontierAuto, fmt.Errorf("core: unknown frontier mode %q (want auto, serial or parallel)", s)
-	}
-}
-
-// resolveFrontierLocal resolves FrontierAuto for an in-process engine:
-// parallel only when the bucket discipline is active, the sharded path is
-// in use, and the per-rank worker budget (FrontierWorkers or GOMAXPROCS,
-// split across the Ranks this process hosts) exceeds one worker — anything
-// else would pay the pool dispatch for no concurrency.
-func resolveFrontierLocal(opts Options) FrontierMode {
-	switch opts.Frontier {
-	case FrontierSerial, FrontierParallel:
-		return opts.Frontier
-	}
-	if opts.Queue != rt.QueueBucket || opts.GlobalCSR {
-		return FrontierSerial
-	}
-	budget := opts.FrontierWorkers
-	if budget <= 0 {
-		budget = runtime.GOMAXPROCS(0)
-	}
-	if budget/opts.Ranks > 1 {
-		return FrontierParallel
-	}
-	return FrontierSerial
-}
-
-// frontierToWire freezes the FrontierMode wire byte (0=auto, 1=serial,
-// 2=parallel) so reordering the Go constants cannot change what crosses a
-// version-skewed handshake.
-func frontierToWire(m FrontierMode) uint8 {
-	switch m {
-	case FrontierSerial:
-		return 1
-	case FrontierParallel:
-		return 2
-	default:
-		return 0
-	}
-}
-
-// frontierFromWire is the inverse of frontierToWire.
-func frontierFromWire(b uint8) FrontierMode {
-	switch b {
-	case 1:
-		return FrontierSerial
-	case 2:
-		return FrontierParallel
-	default:
-		return FrontierAuto
-	}
-}
-
 // PartitionKind selects the vertex-to-rank mapping.
 type PartitionKind int
 
@@ -329,15 +230,16 @@ func ParseBackend(s string) (Backend, error) {
 }
 
 // Options configures a Solve run. The zero value is a valid single-rank
-// configuration with the paper's defaults (priority queue, Prim MST,
-// asynchronous processing, block partition, no delegates).
+// configuration: FIFO queue, Kruskal MST, asynchronous processing, block
+// partition, no delegates. Default(P) gives the paper's optimized
+// configuration.
 type Options struct {
 	// Ranks is the number of simulated MPI processes (default 1).
 	Ranks int
 	// Queue is the per-rank message discipline. The paper's optimized
 	// configuration is QueuePriority; QueueFIFO reproduces the HavoqGT
 	// baseline of Fig. 5/6. NOTE: the package default (zero value) is
-	// QueueFIFO because that is runtime's zero value; SolveDefaults sets
+	// QueueFIFO because that is runtime's zero value; Default sets
 	// priority.
 	Queue rt.QueueKind
 	// BucketDelta is the Δ for QueueBucket.
@@ -363,17 +265,6 @@ type Options struct {
 	// available). MSTFragment is incompatible with GlobalCSR and with TCP
 	// sessions negotiated below wire v4.
 	MSTMode MSTMode
-	// Frontier selects serial vs intra-rank parallel draining of the
-	// bucket queue in the vertex-centric phases (default auto: parallel
-	// only when QueueBucket is active, the sharded path is in use and more
-	// than one worker per rank is available). FrontierParallel requires
-	// QueueBucket, is incompatible with GlobalCSR, and on BackendTCP with
-	// sessions negotiated below wire v6.
-	Frontier FrontierMode
-	// FrontierWorkers is the per-process frontier worker budget, split
-	// evenly across the ranks a process hosts (each rank gets
-	// max(1, budget/hosted)). 0 means GOMAXPROCS of the hosting process.
-	FrontierWorkers int
 	// CollectiveChunk, when positive, splits the Global Min Dist. Edge
 	// reduction into chunks of at most this many table entries — the
 	// paper's §V-F memory optimization ("multiple collective operations

@@ -293,6 +293,8 @@ func resPenalty(seeds []graph.VID, penalties []graph.Dist, s graph.VID) graph.Di
 // for the new modes: forest and prize queries answered by a 4-worker rankd
 // fleet over real TCP must be byte-identical — tree, group subtrees,
 // skipped set, penalties, objective — to the in-process loopback backend.
+// It runs under the priority queue and under the Δ-bucket queue, so the
+// bucket discipline stays covered over TCP in every query mode.
 func TestForestPrizeTCPMatchesLoopback(t *testing.T) {
 	g := clusteredTestGraph(81, 3, 40)
 	rng := rand.New(rand.NewSource(82))
@@ -307,39 +309,52 @@ func TestForestPrizeTCPMatchesLoopback(t *testing.T) {
 		{Mode: ModePrize, Seeds: prizeSeeds, Penalties: penalties},
 		TreeSpec(groups[0]), // a tree query on the same warm v3 session
 	}
-	opts := Options{Ranks: 4, Queue: rt.QueuePriority, Partition: PartitionArcBlock, DelegateThreshold: 8}
-	loop, err := NewEngine(g, opts)
-	if err != nil {
-		t.Fatal(err)
+	queues := []struct {
+		name  string
+		queue rt.QueueKind
+		delta uint64
+	}{
+		{"priority", rt.QueuePriority, 0},
+		{"bucket", rt.QueueBucket, 32},
 	}
-	defer loop.Close()
-	tcp, wait := startTCPEngine(t, g, opts, 4)
-	defer wait()
-	defer tcp.Close()
-	for qi, spec := range specs {
-		want, err := loop.SolveSpec(spec)
-		if err != nil {
-			t.Fatalf("loopback query %d: %v", qi, err)
-		}
-		got, err := tcp.SolveSpec(spec)
-		if err != nil {
-			t.Fatalf("tcp query %d: %v", qi, err)
-		}
-		label := fmt.Sprintf("query %d (%s)", qi, spec.Mode)
-		assertResultsEquivalent(t, label, got, want)
-		if !reflect.DeepEqual(got.Groups, want.Groups) ||
-			!reflect.DeepEqual(got.GroupTrees, want.GroupTrees) {
-			t.Fatalf("%s: group trees differ\ntcp      %v\nloopback %v", label, got.GroupTrees, want.GroupTrees)
-		}
-		if !reflect.DeepEqual(got.Skipped, want.Skipped) ||
-			got.PaidPenalty != want.PaidPenalty || got.Objective != want.Objective {
-			t.Fatalf("%s: prize outputs differ: skipped %v/%v paid %d/%d objective %d/%d",
-				label, got.Skipped, want.Skipped, got.PaidPenalty, want.PaidPenalty,
-				got.Objective, want.Objective)
-		}
-		if spec.Mode == ModeForest {
-			checkForestProperties(t, g, got)
-		}
+	for _, q := range queues {
+		t.Run("queue="+q.name, func(t *testing.T) {
+			opts := Options{Ranks: 4, Queue: q.queue, BucketDelta: q.delta,
+				Partition: PartitionArcBlock, DelegateThreshold: 8}
+			loop, err := NewEngine(g, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer loop.Close()
+			tcp, wait := startTCPEngine(t, g, opts, 4)
+			defer wait()
+			defer tcp.Close()
+			for qi, spec := range specs {
+				want, err := loop.SolveSpec(spec)
+				if err != nil {
+					t.Fatalf("loopback query %d: %v", qi, err)
+				}
+				got, err := tcp.SolveSpec(spec)
+				if err != nil {
+					t.Fatalf("tcp query %d: %v", qi, err)
+				}
+				label := fmt.Sprintf("query %d (%s)", qi, spec.Mode)
+				assertResultsEquivalent(t, label, got, want)
+				if !reflect.DeepEqual(got.Groups, want.Groups) ||
+					!reflect.DeepEqual(got.GroupTrees, want.GroupTrees) {
+					t.Fatalf("%s: group trees differ\ntcp      %v\nloopback %v", label, got.GroupTrees, want.GroupTrees)
+				}
+				if !reflect.DeepEqual(got.Skipped, want.Skipped) ||
+					got.PaidPenalty != want.PaidPenalty || got.Objective != want.Objective {
+					t.Fatalf("%s: prize outputs differ: skipped %v/%v paid %d/%d objective %d/%d",
+						label, got.Skipped, want.Skipped, got.PaidPenalty, want.PaidPenalty,
+						got.Objective, want.Objective)
+				}
+				if spec.Mode == ModeForest {
+					checkForestProperties(t, g, got)
+				}
+			}
+		})
 	}
 }
 

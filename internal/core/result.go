@@ -111,20 +111,6 @@ type Result struct {
 	// the worker processes. All zero on the in-process loopback backend.
 	Net rt.TransportStats
 
-	// Frontier block: intra-rank parallel-frontier work of this query (all
-	// zero when every rank drained its queue serially). FrontierWorkers is
-	// the resolved worker count per rank; on the TCP backend the maximum
-	// across the worker processes. FrontierMaxChunk is a session high-water
-	// mark (largest per-worker chunk seen), not a per-query delta. The
-	// pool's busy fraction is FrontierBusyNs/(FrontierWallNs*Workers).
-	FrontierWorkers        int
-	FrontierBucketsDrained int64
-	FrontierMsgs           int64
-	FrontierMaxChunk       int64
-	FrontierConflicts      int64
-	FrontierBusyNs         int64
-	FrontierWallNs         int64
-
 	// Mode is the query mode this result answers (ModeTree for plain
 	// Solve calls).
 	Mode Mode

@@ -183,7 +183,7 @@ func (rec *recorder) phase(r *rt.Rank, name string, fn func() int64) {
 	}
 	r.Barrier()
 	// Tag the phase body with pprof labels so CPU profiles split by solver
-	// phase and rank (frontier pool goroutines add their own worker label).
+	// phase and rank.
 	var work int64
 	pprof.Do(context.Background(),
 		pprof.Labels("dsteiner_phase", name, "dsteiner_rank", strconv.Itoa(r.ID())),

@@ -225,19 +225,6 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 		return nil, err
 	}
 
-	// The setup ships the frontier mode unresolved: auto depends on this
-	// process's own GOMAXPROCS and hosted rank count, so it resolves here.
-	// Pre-v6 setups have no frontier tail and drain serially.
-	frontier := FrontierSerial
-	if setup.WireVersion >= 6 {
-		frontier = resolveFrontierLocal(Options{
-			Frontier:        frontierFromWire(setup.Frontier),
-			FrontierWorkers: int(setup.FrontierWorkers),
-			Queue:           rt.QueueKind(setup.Queue),
-			Ranks:           hi - lo, // budget splits across hosted ranks
-		})
-	}
-
 	w := &worker{
 		lo: lo,
 		hi: hi,
@@ -250,8 +237,6 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 			MST:               mstAlgoFromWire(setup.MST),
 			CollectiveChunk:   setup.CollectiveChunk,
 			DelegateThreshold: setup.DelegateThreshold,
-			Frontier:          frontier,
-			FrontierWorkers:   int(setup.FrontierWorkers),
 		},
 		mstMode:  MSTMode(setup.MSTMode),
 		localENs: make([]map[int64]crossEdge, setup.Ranks),
@@ -306,15 +291,13 @@ func buildWorker(setup wire.Setup, coord net.Conn, ln net.Listener, cfg WorkerCo
 		seam = transport.NewChaos(w.trans, *cfg.Chaos)
 	}
 	comm, err := rt.New(rt.Config{
-		Ranks:            setup.Ranks,
-		Queue:            rt.QueueKind(setup.Queue),
-		BucketDelta:      setup.BucketDelta,
-		BatchSize:        setup.BatchSize,
-		HostLo:           lo,
-		HostHi:           hi,
-		Transport:        seam,
-		FrontierParallel: frontier == FrontierParallel,
-		FrontierWorkers:  int(setup.FrontierWorkers),
+		Ranks:       setup.Ranks,
+		Queue:       rt.QueueKind(setup.Queue),
+		BucketDelta: setup.BucketDelta,
+		BatchSize:   setup.BatchSize,
+		HostLo:      lo,
+		HostHi:      hi,
+		Transport:   seam,
 	}, part)
 	if err != nil {
 		return nil, err
@@ -453,14 +436,6 @@ func (w *worker) solveQuery(q wire.SolveSpec, cfg WorkerConfig) (err error) {
 		Batched:    s1.BatchedBroadcasts - s0.BatchedBroadcasts,
 		Coalesced:  s1.CoalescedBroadcasts - s0.CoalescedBroadcasts,
 		Net:        w.trans.NetStats().Sub(net0),
-
-		FrontierWorkers:   int64(s1.Frontier.Workers),
-		FrontierDrains:    s1.Frontier.BucketsDrained - s0.Frontier.BucketsDrained,
-		FrontierMsgs:      s1.Frontier.Messages - s0.Frontier.Messages,
-		FrontierMaxChunk:  s1.Frontier.MaxChunk, // session high-water mark
-		FrontierConflicts: s1.Frontier.Conflicts - s0.Frontier.Conflicts,
-		FrontierBusyNs:    s1.Frontier.BusyNs - s0.Frontier.BusyNs,
-		FrontierWallNs:    s1.Frontier.WallNs - s0.Frontier.WallNs,
 	}
 	for rank := w.lo; rank < w.hi; rank++ {
 		done.TableLens = append(done.TableLens, int64(len(w.localENs[rank])))

@@ -190,20 +190,6 @@ func (q *FIFO[T]) grow() {
 	q.head = 0
 }
 
-// drainTo appends every queued item to dst in FIFO order and empties the
-// ring, keeping the allocated buffer.
-func (q *FIFO[T]) drainTo(dst []T) []T {
-	var zero T
-	for q.size > 0 {
-		dst = append(dst, q.buf[q.head])
-		q.buf[q.head] = zero
-		q.head = (q.head + 1) % len(q.buf)
-		q.size--
-	}
-	q.head = 0
-	return dst
-}
-
 // Bucket is a monotone bucket queue: items with keys in [iΔ, (i+1)Δ) share
 // bucket i and are drained FIFO within a bucket. It approximates a priority
 // queue with O(1) operations and is the discipline behind Δ-stepping SSSP
@@ -266,34 +252,6 @@ func (b *Bucket[T]) Pop() (T, bool) {
 		delete(b.buckets, b.cur)
 	}
 	return item, true
-}
-
-// DrainBucket removes the entire current bucket — advancing the cursor to
-// the smallest non-empty bucket first, exactly like Pop — and appends its
-// items to dst in FIFO order, returning the extended slice. The drained
-// items are precisely the prefix a sequence of Pop calls would yield before
-// the cursor next moves, which is what makes them a Δ-stepping frontier:
-// their keys share one [iΔ, (i+1)Δ) window, so their relaxations commute up
-// to the per-vertex lex-min merge. An empty queue returns dst unchanged.
-func (b *Bucket[T]) DrainBucket(dst []T) []T {
-	if b.size == 0 {
-		return dst
-	}
-	q := b.buckets[b.cur]
-	if q == nil || q.Len() == 0 {
-		first := true
-		for idx := range b.buckets {
-			if first || idx < b.cur {
-				b.cur = idx
-				first = false
-			}
-		}
-		q = b.buckets[b.cur]
-	}
-	b.size -= q.Len()
-	dst = q.drainTo(dst)
-	delete(b.buckets, b.cur)
-	return dst
 }
 
 // Len returns the number of queued items.

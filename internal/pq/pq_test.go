@@ -308,57 +308,3 @@ func BenchmarkFIFOPushPop(b *testing.B) {
 		}
 	}
 }
-
-// TestDrainBucketMatchesPop checks that DrainBucket removes exactly the
-// items a sequence of Pops would yield before the cursor next advances,
-// in the same order, against a mirrored Bucket driven by Pop.
-func TestDrainBucketMatchesPop(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := NewBucket[uint64](16)
-	b := NewBucket[uint64](16)
-	push := func(v, k uint64) { a.Push(v, k); b.Push(v, k) }
-	for i := 0; i < 500; i++ {
-		k := uint64(rng.Intn(1 << 10))
-		push(uint64(i), k)
-	}
-	var drained []uint64
-	for a.Len() > 0 {
-		drained = a.DrainBucket(drained[:0])
-		if len(drained) == 0 {
-			t.Fatal("DrainBucket returned nothing from a non-empty queue")
-		}
-		for i, want := range drained {
-			got, ok := b.Pop()
-			if !ok || got != want {
-				t.Fatalf("drain item %d = %d, Pop = (%d,%v)", i, want, got, ok)
-			}
-		}
-		if a.Len() != b.Len() {
-			t.Fatalf("Len after drain = %d, Pop mirror = %d", a.Len(), b.Len())
-		}
-		// Interleave pushes that clamp into the current bucket, as local
-		// sends during a drained-frontier visit do.
-		if a.Len() > 0 && rng.Intn(2) == 0 {
-			push(9999, 0) // below cursor: clamps to current bucket
-		}
-	}
-	if _, ok := b.Pop(); ok {
-		t.Fatal("mirror queue not empty after drains")
-	}
-}
-
-func TestDrainBucketEmpty(t *testing.T) {
-	b := NewBucket[int](4)
-	if got := b.DrainBucket(nil); len(got) != 0 {
-		t.Fatalf("DrainBucket on empty queue = %v", got)
-	}
-	b.Push(1, 3)
-	b.Push(2, 2)
-	got := b.DrainBucket(nil)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("DrainBucket = %v, want [1 2] (same Δ-window, FIFO)", got)
-	}
-	if b.Len() != 0 {
-		t.Fatalf("Len = %d after full drain", b.Len())
-	}
-}

@@ -33,14 +33,6 @@ type Rank struct {
 	visit   VisitFunc
 	merge   func(r *Rank, m Msg) bool // optional enqueue-time merge hook
 	shuffle *rand.Rand
-	// Parallel-frontier state (frontier.go): the worker pool (created
-	// lazily, released by Comm.Close), the traversal's parallel callbacks
-	// (nil when this traversal drains serially), and the reusable
-	// drained-bucket buffer.
-	pool     *frontierPool
-	pvisit   ParallelVisitFunc
-	pflush   VisitFunc
-	drainBuf []Msg
 	// bsp defers local sends to the next superstep via the mailbox.
 	bsp bool
 	// free recycles cross-rank batch buffers: drainInbox parks drained
@@ -64,10 +56,16 @@ type Rank struct {
 
 	// Per-traversal counters (reset by Traverse, published to the Comm
 	// totals when the traversal ends).
-	sentHere         int64
-	processedHere    int64
-	drainsHere       int64
-	frontierMsgsHere int64
+	sentHere      int64
+	processedHere int64
+
+	// Pad Rank to 256 B, a whole number of 64 B cache lines. Each Rank is
+	// its own allocation, so Ranks sit back to back in one size-class
+	// span: unpadded (208 B), the two counters above — written once per
+	// message — would share a cache line with the head of the next rank's
+	// Rank, and every visit would invalidate that line on the core running
+	// the next rank. TestRankFillsWholeCacheLines pins the size.
+	_ [48]byte
 }
 
 // ID returns this rank's index in [0, NumRanks).

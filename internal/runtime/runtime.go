@@ -119,17 +119,6 @@ type Config struct {
 	// rank subset. nil means loopback: every rank is in-process and
 	// delivery is a direct mailbox append — the perf baseline.
 	Transport Transport
-	// FrontierParallel enables the intra-rank parallel frontier: ranks
-	// whose queue discipline is QueueBucket drain whole Δ-buckets on a
-	// per-rank worker pool (see frontier.go) for traversals that provide a
-	// ParallelVisit. Results are byte-identical to serial draining; the
-	// caller (core.Engine) resolves its auto/serial/parallel policy to
-	// this switch.
-	FrontierParallel bool
-	// FrontierWorkers is the per-process frontier worker budget, split
-	// evenly across hosted ranks (each rank gets max(1, budget/hosted)).
-	// 0 means GOMAXPROCS.
-	FrontierWorkers int
 }
 
 func (c Config) withDefaults() Config {
@@ -197,13 +186,6 @@ type Comm struct {
 	// Delegate-outbox counters (Rank.BroadcastBatched / flushOutbox).
 	batchedBroadcasts atomic.Int64
 	coalesced         atomic.Int64
-	// Parallel-frontier counters (Rank.parallelDrain).
-	frontierDrains    atomic.Int64
-	frontierMsgs      atomic.Int64
-	frontierMaxChunk  atomic.Int64
-	frontierConflicts atomic.Int64
-	frontierBusyNs    atomic.Int64
-	frontierWallNs    atomic.Int64
 	// idleRanks counts hosted ranks currently parked in runAsync; a busy
 	// rank skips its fairness yield when every peer is parked.
 	idleRanks atomic.Int32
@@ -512,19 +494,12 @@ func (c *Comm) Start() {
 	}
 }
 
-// Close stops the persistent rank goroutines pinned by Start and releases
-// any frontier worker pools. Idempotent; a Comm that never called Start
-// closes its pools only. Run must not be in flight. After Close the Comm
-// still works in spawn-per-run mode (pools are recreated on demand).
+// Close stops the persistent rank goroutines pinned by Start. Idempotent;
+// a no-op on a Comm that never called Start. Run must not be in flight.
+// After Close the Comm still works in spawn-per-run mode.
 func (c *Comm) Close() {
 	c.workMu.Lock()
 	defer c.workMu.Unlock()
-	for _, r := range c.ranks {
-		if r.pool != nil {
-			r.pool.close()
-			r.pool = nil
-		}
-	}
 	if c.work == nil {
 		return
 	}
@@ -618,10 +593,6 @@ type Stats struct {
 	// staged outbox entry — broadcasts that never happened because a
 	// better or identical offer was pending for the same hub.
 	CoalescedBroadcasts int64
-	// Frontier reports intra-rank parallel-frontier work (Δ-stepping
-	// bucket drains on the per-rank worker pools); all zero when the
-	// parallel frontier is disabled.
-	Frontier FrontierStats
 	// Net reports the transport's cumulative traffic; all zero for
 	// loopback communicators.
 	Net TransportStats
@@ -636,17 +607,6 @@ func (c *Comm) Stats() Stats {
 		Suppressed:          c.suppressed.Load(),
 		BatchedBroadcasts:   c.batchedBroadcasts.Load(),
 		CoalescedBroadcasts: c.coalesced.Load(),
-		Frontier: FrontierStats{
-			BucketsDrained: c.frontierDrains.Load(),
-			Messages:       c.frontierMsgs.Load(),
-			MaxChunk:       c.frontierMaxChunk.Load(),
-			Conflicts:      c.frontierConflicts.Load(),
-			BusyNs:         c.frontierBusyNs.Load(),
-			WallNs:         c.frontierWallNs.Load(),
-		},
-	}
-	if c.cfg.FrontierParallel {
-		s.Frontier.Workers = c.frontierWorkers()
 	}
 	if c.trans != nil {
 		s.Net = c.trans.Stats()
@@ -663,10 +623,4 @@ func (c *Comm) ResetStats() {
 	c.suppressed.Store(0)
 	c.batchedBroadcasts.Store(0)
 	c.coalesced.Store(0)
-	c.frontierDrains.Store(0)
-	c.frontierMsgs.Store(0)
-	c.frontierMaxChunk.Store(0)
-	c.frontierConflicts.Store(0)
-	c.frontierBusyNs.Store(0)
-	c.frontierWallNs.Store(0)
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"dsteiner/internal/graph"
 	"dsteiner/internal/partition"
@@ -409,5 +410,18 @@ func TestQueueKindString(t *testing.T) {
 	if QueueFIFO.String() != "fifo" || QueuePriority.String() != "priority" ||
 		QueueBucket.String() != "bucket" || QueueKind(9).String() != "QueueKind(9)" {
 		t.Fatal("QueueKind strings wrong")
+	}
+}
+
+// TestRankFillsWholeCacheLines pins the trailing pad on Rank: its size must
+// stay a multiple of the 64 B cache line, so one rank's per-message
+// counters never share a line with the next Rank in the same span. A new
+// field must shrink the pad to keep it so.
+func TestRankFillsWholeCacheLines(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the pad is sized for 64-bit layouts")
+	}
+	if size := unsafe.Sizeof(Rank{}); size%64 != 0 {
+		t.Fatalf("Rank is %d B, not a multiple of the 64 B cache line: resize its trailing pad", size)
 	}
 }

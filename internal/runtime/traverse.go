@@ -3,16 +3,10 @@ package runtime
 import (
 	"runtime"
 	"sync"
-
-	"dsteiner/internal/pq"
 )
 
 // goyield cooperatively yields the processor to other goroutines.
 func goyield() { runtime.Gosched() }
-
-// maxProcs returns the process's usable CPU count (the default frontier
-// worker budget).
-func maxProcs() int { return runtime.GOMAXPROCS(0) }
 
 // idleSpins is the number of yield-and-recheck rounds an empty rank spins
 // before escalating to a channel park: a couple of yields catch messages
@@ -50,17 +44,6 @@ type Traversal struct {
 	// design choice). Messages sent in superstep i are processed in
 	// superstep i+1.
 	BSP bool
-	// ParallelVisit, together with ParallelFlush, is the bucket-drain form
-	// of Visit: when the communicator enables the parallel frontier
-	// (Config.FrontierParallel) and the rank's queue is the Δ-stepping
-	// bucket discipline, whole buckets are drained and relaxed on the
-	// rank's worker pool (frontier.go), with outbound messages staged
-	// per worker and replayed deterministically through ParallelFlush.
-	// Both nil means the traversal always drains serially via Visit.
-	ParallelVisit ParallelVisitFunc
-	// ParallelFlush replays one staged outbound message through the rank's
-	// normal send path (filters, outbox, Send) on the rank goroutine.
-	ParallelFlush VisitFunc
 }
 
 // TraversalStats reports per-rank work done in one Traverse call.
@@ -71,10 +54,8 @@ type TraversalStats struct {
 	Processed int64
 	// Sent counts messages this rank routed through Send or Broadcast,
 	// including those the owner's Merge then dropped.
-	Sent           int64
-	Supersteps     int64 // BSP supersteps (0 for async mode)
-	BucketsDrained int64 // parallel whole-bucket drains on this rank
-	FrontierMsgs   int64 // messages relaxed inside parallel drains
+	Sent       int64
+	Supersteps int64 // BSP supersteps (0 for async mode)
 }
 
 // Traverse runs t to global quiescence and returns this rank's work
@@ -96,16 +77,8 @@ func (r *Rank) Traverse(t *Traversal) TraversalStats {
 	r.keyOf = key
 	r.visit = t.Visit
 	r.merge = t.Merge
-	r.pvisit, r.pflush = nil, nil
-	if t.ParallelVisit != nil && t.ParallelFlush != nil && r.comm.cfg.FrontierParallel {
-		if _, ok := r.queue.(*pq.Bucket[Msg]); ok {
-			r.ensureFrontierPool()
-			r.pvisit, r.pflush = t.ParallelVisit, t.ParallelFlush
-		}
-	}
 	r.held = false
 	r.sentHere, r.processedHere = 0, 0
-	r.drainsHere, r.frontierMsgsHere = 0, 0
 	// Discard any stale outbox stage (an aborted traversal may have left
 	// entries behind); the counters it guarded are reset below.
 	r.dout = r.dout[:0]
@@ -148,10 +121,7 @@ func (r *Rank) Traverse(t *Traversal) TraversalStats {
 func (r *Rank) finishTraversal(supersteps int64) TraversalStats {
 	r.comm.sent.Add(r.sentHere)
 	r.comm.processed.Add(r.processedHere)
-	return TraversalStats{
-		Processed: r.processedHere, Sent: r.sentHere, Supersteps: supersteps,
-		BucketsDrained: r.drainsHere, FrontierMsgs: r.frontierMsgsHere,
-	}
+	return TraversalStats{Processed: r.processedHere, Sent: r.sentHere, Supersteps: supersteps}
 }
 
 // closeDone signals global quiescence exactly once.
@@ -162,11 +132,10 @@ func (c *Comm) closeDone() {
 // maybeYield is the busy-loop fairness yield: when simulated ranks share
 // cores, a rank grinding a long queue hands the scheduler a slice so peers
 // advance at a similar rate (real MPI ranks run on dedicated cores). When
-// every peer rank hosted here is already parked — the common case under the
-// frontier worker pool, where one rank drains while the others wait for its
-// offers — the yield could only hand the CPU back to this rank, so it is
-// skipped. Transport-backed communicators always yield: the reader
-// goroutines feeding the mailboxes need the CPU even when peer ranks idle.
+// every peer rank hosted here is already parked, the yield could only hand
+// the CPU back to this rank, so it is skipped. Transport-backed
+// communicators always yield: the reader goroutines feeding the mailboxes
+// need the CPU even when peer ranks idle.
 func (r *Rank) maybeYield() {
 	c := r.comm
 	if c.trans != nil || int(c.idleRanks.Load())+1 < len(c.ranks) {
@@ -190,12 +159,6 @@ func (r *Rank) runAsync() TraversalStats {
 		c.closeDone()
 	}
 	done := c.done
-	// bucketQ is non-nil when this traversal drains whole Δ-buckets on the
-	// rank's worker pool instead of popping one message at a time.
-	var bucketQ *pq.Bucket[Msg]
-	if r.pvisit != nil {
-		bucketQ, _ = r.queue.(*pq.Bucket[Msg])
-	}
 	// Flush outgoing buffers at least this often even while local work
 	// remains: hoarding frontier updates would let peers burn cycles on
 	// stale distances (HavoqGT likewise aggregates but sends eagerly).
@@ -209,38 +172,26 @@ func (r *Rank) runAsync() TraversalStats {
 			r.drainInbox()
 		default:
 		}
-		if n := r.drainFrontier(bucketQ); n > 0 {
-			sinceFlush += n
+		if m, ok := r.queue.Pop(); ok {
+			r.visit(r, m)
+			r.processedHere++
+			sinceFlush++
 			if sinceFlush >= flushEvery {
 				sinceFlush = 0
+				// Release staged delegate broadcasts alongside the
+				// regular flush: within-window improvements still
+				// coalesce, but a rank grinding a long local queue
+				// cannot let hub offers go stale on its peers.
 				r.flushOutbox()
 				r.flushAll()
+				// Yield so peer ranks advance at a similar rate even
+				// when simulated ranks outnumber physical cores: real
+				// MPI ranks run on dedicated cores, and without the
+				// yield one rank can burn a whole scheduler slice on
+				// stale distances.
 				r.maybeYield()
 			}
 			continue
-		}
-		if bucketQ == nil {
-			if m, ok := r.queue.Pop(); ok {
-				r.visit(r, m)
-				r.processedHere++
-				sinceFlush++
-				if sinceFlush >= flushEvery {
-					sinceFlush = 0
-					// Release staged delegate broadcasts alongside the
-					// regular flush: within-window improvements still
-					// coalesce, but a rank grinding a long local queue
-					// cannot let hub offers go stale on its peers.
-					r.flushOutbox()
-					r.flushAll()
-					// Yield so peer ranks advance at a similar rate even
-					// when simulated ranks outnumber physical cores:
-					// real MPI ranks run on dedicated cores, and without
-					// the yield one rank can burn a whole scheduler slice
-					// on stale distances.
-					r.maybeYield()
-				}
-				continue
-			}
 		}
 		// Local queue empty: give back the rank's pending unit, then
 		// everything staged and buffered must go out before we sleep, or
@@ -305,10 +256,6 @@ func (r *Rank) runBSP() TraversalStats {
 	r.flushAll()
 	r.Barrier()
 	r.drainInbox()
-	var bucketQ *pq.Bucket[Msg]
-	if r.pvisit != nil {
-		bucketQ, _ = r.queue.(*pq.Bucket[Msg])
-	}
 	steps := int64(0)
 	for {
 		pending := int64(r.queue.Len())
@@ -317,17 +264,12 @@ func (r *Rank) runBSP() TraversalStats {
 		}
 		steps++
 		for {
-			if r.drainFrontier(bucketQ) > 0 {
-				continue
+			m, ok := r.queue.Pop()
+			if !ok {
+				break
 			}
-			if bucketQ == nil {
-				if m, ok := r.queue.Pop(); ok {
-					r.visit(r, m)
-					r.processedHere++
-					continue
-				}
-			}
-			break
+			r.visit(r, m)
+			r.processedHere++
 		}
 		// Superstep boundary: the staged best offer per delegate goes out
 		// exactly once per round.

@@ -72,11 +72,6 @@ type Service struct {
 	// or "replicated"; identical across siblings, captured like shard).
 	mstMode string
 
-	// frontierMode is the pool's bucket-drain mode ("serial" or "parallel"
-	// on loopback engines; a TCP pool can report "auto", which each worker
-	// resolves against its own GOMAXPROCS). Captured like mstMode.
-	frontierMode string
-
 	// first is the pool's first engine — on the TCP backend, the
 	// coordinator whose fault accounting /stats mirrors. Engines cycle
 	// through the pool channel, so this standing reference is how stats
@@ -125,18 +120,6 @@ type serviceStats struct {
 	mstFragmentRounds  int64
 	mstCrossTableBytes int64
 	mstFragmentMsgs    int64
-
-	// Parallel-frontier accounting: the largest resolved per-rank worker
-	// count seen, buckets drained on the pools, messages relaxed there, the
-	// largest per-worker chunk, superseded tokens skipped, and the pools'
-	// busy/wall nanoseconds (for the busy-fraction gauge).
-	frontierWorkers   int
-	frontierDrains    int64
-	frontierMsgs      int64
-	frontierMaxChunk  int64
-	frontierConflicts int64
-	frontierBusyNs    int64
-	frontierWallNs    int64
 
 	// retriedSolves counts queries this service re-ran after a session
 	// fault (the coordinator's internal requeues are counted separately,
@@ -192,7 +175,6 @@ func New(g *graph.Graph, opts core.Options, cfg Config) (*Service, error) {
 			s.first = e
 			s.shard = e.ShardStats()
 			s.mstMode = e.MSTMode().String()
-			s.frontierMode = e.Frontier().String()
 		}
 		s.engines <- e
 	}
@@ -533,22 +515,6 @@ type MSTStats struct {
 	CrossTableBytes  int64  `json:"crossTableBytes"`
 }
 
-// FrontierStats is the /stats accounting of the parallel bucket frontier:
-// the drain mode, the largest resolved per-rank worker count, buckets
-// drained on the worker pools (0 = every rank drained serially), messages
-// relaxed there, the largest per-worker chunk, superseded tokens the
-// drains skipped, and the pools' aggregate busy fraction
-// (busyNs / (wallNs × workers); 0 when nothing drained in parallel).
-type FrontierStats struct {
-	Mode           string  `json:"mode"`
-	Workers        int     `json:"workers"`
-	BucketsDrained int64   `json:"bucketsDrained"`
-	Messages       int64   `json:"messages"`
-	MaxChunk       int64   `json:"maxChunk"`
-	Conflicts      int64   `json:"conflicts"`
-	BusyFraction   float64 `json:"busyFraction"`
-}
-
 // FaultStats is the /stats fault-tolerance block. Injected counts faults
 // this process's chaos instrumentation fired (faultpoint crashes plus
 // chaos-transport connection faults — a process-local count: faults
@@ -599,10 +565,7 @@ type StatsResponse struct {
 	// served queries: suppressed, coalesced, batched, sent.
 	Broadcasts BroadcastStats `json:"broadcasts"`
 	// MST reports the phase 3–5 merge strategy and its traffic.
-	MST MSTStats `json:"mst"`
-	// Frontier reports the bucket drain mode and the parallel-frontier
-	// work counters.
-	Frontier  FrontierStats  `json:"frontier"`
+	MST       MSTStats       `json:"mst"`
 	Transport TransportStats `json:"transport"`
 	// Faults is the fault-tolerance block: injected chaos faults, detected
 	// session faults, worker rejoins, session heals and retried solves.
@@ -668,14 +631,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 			FragmentMessages: st.mstFragmentMsgs,
 			CrossTableBytes:  st.mstCrossTableBytes,
 		},
-		Frontier: FrontierStats{
-			Mode:           s.frontierMode,
-			Workers:        st.frontierWorkers,
-			BucketsDrained: st.frontierDrains,
-			Messages:       st.frontierMsgs,
-			MaxChunk:       st.frontierMaxChunk,
-			Conflicts:      st.frontierConflicts,
-		},
 		Transport: TransportStats{
 			FramesOut:            st.net.FramesOut,
 			FramesIn:             st.net.FramesIn,
@@ -688,10 +643,6 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 			FlushesMid:           st.net.FlushesMid,
 			FlushesLarge:         st.net.FlushesLarge,
 		},
-	}
-	if st.frontierWallNs > 0 && st.frontierWorkers > 0 {
-		resp.Frontier.BusyFraction = float64(st.frontierBusyNs) /
-			(float64(st.frontierWallNs) * float64(st.frontierWorkers))
 	}
 	retried := st.retriedSolves
 	if st.queries > 0 {
@@ -812,17 +763,6 @@ func (s *Service) recordQuery(res *core.Result, elapsed time.Duration, err error
 			st.mstFragmentMsgs += res.FragmentMsgs
 		}
 		st.mstCrossTableBytes += res.CrossTableBytes
-		if res.FrontierWorkers > st.frontierWorkers {
-			st.frontierWorkers = res.FrontierWorkers
-		}
-		st.frontierDrains += res.FrontierBucketsDrained
-		st.frontierMsgs += res.FrontierMsgs
-		if res.FrontierMaxChunk > st.frontierMaxChunk {
-			st.frontierMaxChunk = res.FrontierMaxChunk
-		}
-		st.frontierConflicts += res.FrontierConflicts
-		st.frontierBusyNs += res.FrontierBusyNs
-		st.frontierWallNs += res.FrontierWallNs
 	}
 	st.mu.Unlock()
 }

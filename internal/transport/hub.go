@@ -141,16 +141,6 @@ type QueryOutcome struct {
 	MSTFragment     bool
 	CrossTableBytes int64
 	FragmentMsgs    int64
-	// Parallel-frontier counters from the v6 WorkerDone tails: workers and
-	// max-chunk are fleet maxima, the rest are sums over the workers. All
-	// zero on pre-v6 sessions and when every rank drained serially.
-	FrontierWorkers   int64
-	FrontierDrains    int64
-	FrontierMsgs      int64
-	FrontierMaxChunk  int64
-	FrontierConflicts int64
-	FrontierBusyNs    int64
-	FrontierWallNs    int64
 }
 
 // FaultStats is the hub's fault-tolerance accounting: sessions poisoned,
@@ -877,17 +867,6 @@ func (s *hubSession) handleFrame(ev hubEvent, colls map[uint64]*collAcc, frags m
 		pq.out.Suppressed += done.Suppressed
 		pq.out.Batched += done.Batched
 		pq.out.Coalesced += done.Coalesced
-		pq.out.FrontierDrains += done.FrontierDrains
-		pq.out.FrontierMsgs += done.FrontierMsgs
-		pq.out.FrontierConflicts += done.FrontierConflicts
-		pq.out.FrontierBusyNs += done.FrontierBusyNs
-		pq.out.FrontierWallNs += done.FrontierWallNs
-		if done.FrontierWorkers > pq.out.FrontierWorkers {
-			pq.out.FrontierWorkers = done.FrontierWorkers
-		}
-		if done.FrontierMaxChunk > pq.out.FrontierMaxChunk {
-			pq.out.FrontierMaxChunk = done.FrontierMaxChunk
-		}
 		pq.out.Net.Add(done.Net)
 		if done.Err != "" {
 			pq.out.Err = done.Err

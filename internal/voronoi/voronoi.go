@@ -251,55 +251,7 @@ func run(r *rt.Rank, seeds []graph.VID, bsp bool) rt.TraversalStats {
 			sendOffer(r, u, v, m.Seed, m.Dist+graph.Dist(ws[i]))
 		}
 	}
-	// Bucket-drain form of the visit for the intra-rank parallel frontier:
-	// the drained bucket holds settle tokens, and a current token's
-	// outbound offers are emitted into the worker's staging outbox instead
-	// of sent. Workers only read owned rows — merging happens when the
-	// rank goroutine replays the stages — and the only row they write is
-	// the delegate mirror row (ObserveDelegate); both are keyed by Target,
-	// which the pool partitions a drained bucket by, so no locks are
-	// needed. The changed-since filter is deliberately NOT applied here:
-	// it reads other vertices' mirror rows, which concurrent chunks may be
-	// folding.
-	parallelVisit := func(r *rt.Rank, m rt.Msg, w int, emit func(rt.Msg)) {
-		if m.Kind == delegateRelax {
-			v := m.Target
-			sl.ObserveDelegate(v, m.Seed, m.Dist)
-			ts, ws := r.StripeAdj(v)
-			for i, u := range ts {
-				emit(rt.Msg{Target: u, From: v, Seed: m.Seed, Dist: m.Dist + graph.Dist(ws[i])})
-			}
-			return
-		}
-		if !sl.holds(m.Target, m.Seed, m.Dist) {
-			// A later merge superseded this token's (dist, seed): the
-			// newer token relaxes the same neighbours with better offers.
-			r.FrontierConflict(w)
-			return
-		}
-		vj := m.Target
-		if r.IsDelegate(vj) {
-			emit(rt.Msg{Target: vj, From: vj, Seed: m.Seed, Dist: m.Dist, Kind: delegateRelax})
-			return
-		}
-		ts, ws := r.Adj(vj)
-		for i, u := range ts {
-			emit(rt.Msg{Target: u, From: vj, Seed: m.Seed, Dist: m.Dist + graph.Dist(ws[i])})
-		}
-	}
-	// Replay of one staged message on the rank goroutine, after all workers
-	// joined: hub broadcasts go through the superstep outbox and plain
-	// offers through the changed-since filter — which now reads the fully
-	// merged mirror state — so wire traffic, tie-send rules and batching
-	// are exactly those of the serial path.
-	parallelFlush := func(r *rt.Rank, m rt.Msg) {
-		if m.Kind == delegateRelax {
-			r.BroadcastBatched(m)
-			return
-		}
-		sendOffer(r, m.Target, m.From, m.Seed, m.Dist)
-	}
-	return runWith(r, seeds, sl, bsp, relaxNeighbors, relaxStripe, parallelVisit, parallelFlush)
+	return runWith(r, seeds, sl, bsp, relaxNeighbors, relaxStripe)
 }
 
 // offerSender returns the relaxation-offer send function, with the
@@ -369,9 +321,7 @@ func runGlobal(r *rt.Rank, g *graph.Graph, seeds []graph.VID, st *State, bsp boo
 			r.Send(rt.Msg{Target: u, From: v, Seed: m.Seed, Dist: m.Dist + graph.Dist(ws[i])})
 		}
 	}
-	// The global-CSR reference path shares one State array across ranks and
-	// stays strictly serial per rank: no parallel frontier.
-	return runWith(r, seeds, st, bsp, relaxNeighbors, relaxStripe, nil, nil)
+	return runWith(r, seeds, st, bsp, relaxNeighbors, relaxStripe)
 }
 
 // runWith is the shared traversal skeleton: tie-breaking and state updates
@@ -385,13 +335,10 @@ func runGlobal(r *rt.Rank, g *graph.Graph, seeds []graph.VID, st *State, bsp boo
 // (dist, seed).
 func runWith(r *rt.Rank, seeds []graph.VID, st floodState, bsp bool,
 	relaxNeighbors func(r *rt.Rank, v graph.VID, src graph.VID, dist graph.Dist),
-	relaxStripe func(r *rt.Rank, m rt.Msg),
-	parallelVisit rt.ParallelVisitFunc, parallelFlush rt.VisitFunc) rt.TraversalStats {
+	relaxStripe func(r *rt.Rank, m rt.Msg)) rt.TraversalStats {
 	return r.Traverse(&rt.Traversal{
-		Key:           rt.DistKey,
-		BSP:           bsp,
-		ParallelVisit: parallelVisit,
-		ParallelFlush: parallelFlush,
+		Key: rt.DistKey,
+		BSP: bsp,
 		Init: func(r *rt.Rank) {
 			for _, s := range seeds {
 				if r.Owns(s) {

@@ -350,77 +350,67 @@ func TestWorkCountersReported(t *testing.T) {
 // TestPropertyDeterministicAcrossRanksQueuesAndShuffles checks the flood
 // against the independent Sequential oracle in every runtime mode
 // combination: queue discipline {fifo, priority, bucket} x {async, BSP} x
-// frontier {serial, parallel} x delegates {off, on} x ranks {1, 3, 4, 5},
-// each on several random graphs with shuffled delivery and a random batch
-// size. The sharded-vs-global, serial-vs-parallel and TCP-vs-loopback
-// suites compare two runs of the shared traversal skeleton with each
-// other; this one compares every mode of it with a separately written
-// Dijkstra sweep, so a change to the skeleton cannot move both sides of an
-// equivalence together unnoticed.
+// delegates {off, on} x ranks {1, 3, 4, 5}, each on several random graphs
+// with shuffled delivery and a random batch size. The sharded-vs-global
+// and TCP-vs-loopback suites compare two runs of the shared traversal
+// skeleton with each other; this one compares every mode of it with a
+// separately written Dijkstra sweep, so a change to the skeleton cannot
+// move both sides of an equivalence together unnoticed.
 func TestPropertyDeterministicAcrossRanksQueuesAndShuffles(t *testing.T) {
 	graphs := 3
 	if testing.Short() {
 		graphs = 1
 	}
-	var parallelDrains, delegated, runs int64
+	var delegated, runs int64
 	for _, q := range []rt.QueueKind{rt.QueueFIFO, rt.QueuePriority, rt.QueueBucket} {
 		for _, bsp := range []bool{false, true} {
-			for _, parallel := range []bool{false, true} {
-				for _, delegates := range []bool{false, true} {
-					for _, ranks := range []int{1, 3, 4, 5} {
-						for gi := 0; gi < graphs; gi++ {
-							runs++
-							seed := runs*7919 + 7 // a fresh random graph per run
-							rng := rand.New(rand.NewSource(seed))
-							n := 60 + rng.Intn(140)
-							g := randomConnected(seed, n, 20)
-							seeds := pickSeeds(rng, n, 2+rng.Intn(6))
-							var part partition.Partition
-							part, _ = partition.NewBlock(n, ranks)
-							if delegates {
-								// Average degree is ~6, so threshold 8
-								// delegates the upper tail of hubs.
-								part = partition.WithDelegates(part, g, 8)
-								if dc, ok := part.(interface{ NumDelegates() int }); ok {
-									delegated += int64(dc.NumDelegates())
-								}
+			for _, delegates := range []bool{false, true} {
+				for _, ranks := range []int{1, 3, 4, 5} {
+					for gi := 0; gi < graphs; gi++ {
+						runs++
+						seed := runs*7919 + 7 // a fresh random graph per run
+						rng := rand.New(rand.NewSource(seed))
+						n := 60 + rng.Intn(140)
+						g := randomConnected(seed, n, 20)
+						seeds := pickSeeds(rng, n, 2+rng.Intn(6))
+						var part partition.Partition
+						part, _ = partition.NewBlock(n, ranks)
+						if delegates {
+							// Average degree is ~6, so threshold 8
+							// delegates the upper tail of hubs.
+							part = partition.WithDelegates(part, g, 8)
+							if dc, ok := part.(interface{ NumDelegates() int }); ok {
+								delegated += int64(dc.NumDelegates())
 							}
-							c := rt.MustNew(rt.Config{
-								Ranks: ranks, Queue: q, BucketDelta: 64,
-								ShuffleDelivery: true, ShuffleSeed: seed * 31,
-								BatchSize:        1 + rng.Intn(64),
-								FrontierParallel: parallel,
-								FrontierWorkers:  4 * ranks,
-							}, part)
-							c.EnsureShards(g)
-							slabs := EnsureSlabs(c, g)
-							c.Run(func(r *rt.Rank) {
-								if bsp {
-									RunRankBSP(r, seeds)
-								} else {
-									RunRank(r, seeds)
-								}
-							})
-							parallelDrains += c.Stats().Frontier.BucketsDrained
-							c.Close()
-							got := Collect(slabs, n)
-							want := Sequential(g, seeds)
-							for v := 0; v < n; v++ {
-								gs, gp, gd := got.Get(graph.VID(v))
-								ws, wp, wd := want.Get(graph.VID(v))
-								if gs != ws || gp != wp || gd != wd {
-									t.Fatalf("q=%v bsp=%v parallel=%v delegates=%v ranks=%d graph %d vertex %d: got (%d,%d,%d), oracle (%d,%d,%d)",
-										q, bsp, parallel, delegates, ranks, gi, v, gs, gp, gd, ws, wp, wd)
-								}
+						}
+						c := rt.MustNew(rt.Config{
+							Ranks: ranks, Queue: q, BucketDelta: 64,
+							ShuffleDelivery: true, ShuffleSeed: seed * 31,
+							BatchSize: 1 + rng.Intn(64),
+						}, part)
+						c.EnsureShards(g)
+						slabs := EnsureSlabs(c, g)
+						c.Run(func(r *rt.Rank) {
+							if bsp {
+								RunRankBSP(r, seeds)
+							} else {
+								RunRank(r, seeds)
+							}
+						})
+						got := Collect(slabs, n)
+						want := Sequential(g, seeds)
+						for v := 0; v < n; v++ {
+							gs, gp, gd := got.Get(graph.VID(v))
+							ws, wp, wd := want.Get(graph.VID(v))
+							if gs != ws || gp != wp || gd != wd {
+								t.Fatalf("q=%v bsp=%v delegates=%v ranks=%d graph %d vertex %d: got (%d,%d,%d), oracle (%d,%d,%d)",
+									q, bsp, delegates, ranks, gi, v, gs, gp, gd, ws, wp, wd)
 							}
 						}
 					}
 				}
 			}
 		}
-	}
-	if parallelDrains == 0 {
-		t.Fatal("no parallel bucket drain ran: the parallel-frontier cells tested the serial path only")
 	}
 	if delegated == 0 {
 		t.Fatal("no vertex was delegated: the delegate cells tested plain partitions only")

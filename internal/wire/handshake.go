@@ -139,16 +139,6 @@ type Setup struct {
 	// frame. A v5 trailing field; absent (v1–v4 sessions) ⇒ 0, meaning the
 	// session predates rejoin and a disconnected worker cannot return.
 	SessionID uint64
-
-	// Frontier is the operator's REQUESTED bucket-drain mode (frozen bytes:
-	// 0 = auto, 1 = serial, 2 = parallel — core.frontierToWire). Unlike
-	// MSTMode it is shipped unresolved: auto depends on each worker's own
-	// GOMAXPROCS, so every worker resolves it locally. FrontierWorkers is
-	// the per-process frontier worker budget (0 = the worker's GOMAXPROCS),
-	// split across that worker's hosted ranks. v6 trailing fields; absent
-	// (v1–v5 sessions) ⇒ workers drain serially.
-	Frontier        uint8
-	FrontierWorkers uint64
 }
 
 // EncodeSetup appends a FrameSetup payload.
@@ -184,10 +174,6 @@ func EncodeSetup(dst []byte, s Setup) []byte {
 	}
 	if s.WireVersion >= 5 {
 		dst = AppendUvarint(dst, s.SessionID)
-	}
-	if s.WireVersion >= 6 {
-		dst = append(dst, s.Frontier)
-		dst = AppendUvarint(dst, s.FrontierWorkers)
 	}
 	return dst
 }
@@ -237,11 +223,6 @@ func DecodeSetup(body []byte) (Setup, error) {
 	// Trailing session identity, absent below v5 (⇒ 0 = no rejoin).
 	if d.err == nil && d.Len() > 0 {
 		s.SessionID = d.Uvarint()
-	}
-	// Trailing frontier mode + worker budget, absent below v6 (⇒ serial).
-	if d.err == nil && d.Len() > 0 {
-		s.Frontier = d.Byte()
-		s.FrontierWorkers = d.Uvarint()
 	}
 	return s, d.finish()
 }

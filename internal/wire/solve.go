@@ -250,19 +250,6 @@ type WorkerDone struct {
 	MSTFragment     bool
 	CrossTableBytes int64
 	FragmentMsgs    int64
-	// v6 tail: this worker's parallel-frontier deltas for the query —
-	// resolved per-rank worker count (0 when the worker drained serially;
-	// the coordinator takes the fleet maximum), buckets drained on the
-	// pool, messages relaxed there, the largest per-worker chunk
-	// (session high-water mark), lex-min merge conflicts, and the pool's
-	// busy/wall nanoseconds.
-	FrontierWorkers   int64
-	FrontierDrains    int64
-	FrontierMsgs      int64
-	FrontierMaxChunk  int64
-	FrontierConflicts int64
-	FrontierBusyNs    int64
-	FrontierWallNs    int64
 }
 
 // EncodeWorkerDone appends a FrameWorkerDone payload. wireVer is the
@@ -298,15 +285,6 @@ func EncodeWorkerDone(dst []byte, w WorkerDone, wireVer uint32) []byte {
 		dst = appendBool(dst, w.MSTFragment)
 		dst = AppendVarint(dst, w.CrossTableBytes)
 		dst = AppendVarint(dst, w.FragmentMsgs)
-	}
-	if wireVer >= 6 {
-		dst = AppendVarint(dst, w.FrontierWorkers)
-		dst = AppendVarint(dst, w.FrontierDrains)
-		dst = AppendVarint(dst, w.FrontierMsgs)
-		dst = AppendVarint(dst, w.FrontierMaxChunk)
-		dst = AppendVarint(dst, w.FrontierConflicts)
-		dst = AppendVarint(dst, w.FrontierBusyNs)
-		dst = AppendVarint(dst, w.FrontierWallNs)
 	}
 	return dst
 }
@@ -344,16 +322,6 @@ func DecodeWorkerDone(body []byte) (WorkerDone, error) {
 		w.MSTFragment = d.Bool()
 		w.CrossTableBytes = d.Varint()
 		w.FragmentMsgs = d.Varint()
-	}
-	// v6 tail, absent on v1–v5 sessions.
-	if d.err == nil && d.Len() > 0 {
-		w.FrontierWorkers = d.Varint()
-		w.FrontierDrains = d.Varint()
-		w.FrontierMsgs = d.Varint()
-		w.FrontierMaxChunk = d.Varint()
-		w.FrontierConflicts = d.Varint()
-		w.FrontierBusyNs = d.Varint()
-		w.FrontierWallNs = d.Varint()
 	}
 	return w, d.finish()
 }

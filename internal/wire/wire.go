@@ -47,12 +47,11 @@ import (
 // counters in the WorkerDone tail; v5 sessions add fault recovery — the
 // Setup tail carries the coordinator's SessionID and a worker that lost its
 // connection re-handshakes with FrameRejoin (proving session membership)
-// instead of a fresh Hello; v6 sessions add the parallel frontier — the
-// Setup tail carries the requested frontier mode and worker budget (each
-// worker resolves auto against its own GOMAXPROCS) and the WorkerDone tail
-// the per-query frontier counters. Tree-mode queries use FrameSolve at
-// every version, so v1/v2-pinned sessions keep serving them byte-identically.
-const Version uint32 = 6
+// instead of a fresh Hello. Tree-mode queries use FrameSolve at every
+// version, so v1/v2-pinned sessions keep serving them byte-identically.
+// v6 (the retired parallel-frontier tails) is not spoken: a worker
+// advertising it is refused at Hello like any other out-of-range version.
+const Version uint32 = 5
 
 // MinVersion is the oldest wire-protocol version this build interoperates
 // with.
