@@ -191,6 +191,9 @@ func TestChaosMatrix(t *testing.T) {
 		}
 	}
 
+	// Cells are named by the injection fraction, not the operation count
+	// it resolves to: the probed count varies between runs, and the name
+	// must not, so -run can target a cell.
 	for _, kind := range kinds {
 		for _, frac := range fracs {
 			after := int64(float64(opsPerSolve) * frac)
@@ -198,8 +201,9 @@ func TestChaosMatrix(t *testing.T) {
 				after = 1
 			}
 			for _, seed := range chaosSeeds {
-				label := fmt.Sprintf("%s/after=%d/seed=%d", kind, after, seed)
+				label := fmt.Sprintf("%s/frac=%g/seed=%d", kind, frac, seed)
 				t.Run(label, func(t *testing.T) {
+					t.Logf("fault after transport op %d of ~%d per solve", after, opsPerSolve)
 					runCell(t, label, &transport.ChaosConfig{Kind: kind, Seed: seed, After: after}, true)
 				})
 			}

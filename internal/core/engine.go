@@ -410,6 +410,29 @@ func (e *Engine) solveCanonLocked(cq canonQuery) (*Result, error) {
 	}
 
 	g, opts := e.g, e.opts
+	env := e.newSolveEnv(cq, res)
+	s0 := e.comm.Stats()
+	e.comm.Run(env.rankBody)
+	if env.err != nil {
+		return nil, env.err
+	}
+	s1 := e.comm.Stats()
+	res.SuppressedBroadcasts = s1.Suppressed - s0.Suppressed
+	res.BatchedBroadcasts = s1.BatchedBroadcasts - s0.BatchedBroadcasts
+	res.CoalescedBroadcasts = s1.CoalescedBroadcasts - s0.CoalescedBroadcasts
+
+	res.SteinerVertices = countSteinerVertices(res.Tree, dedup)
+	res.Memory = memoryStats(g, e.ShardStats().ShardBytes, e.stateBytes(), e.localENs, res, opts)
+	if err := finalizeResult(g, cq, res, opts.SkipValidation); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// newSolveEnv resets the engine's pooled per-query state and returns the
+// environment of one loopback solve of cq publishing into res. The caller
+// holds e.mu and runs env.rankBody on every rank.
+func (e *Engine) newSolveEnv(cq canonQuery, res *Result) *solveEnv {
 	if e.slabs != nil {
 		e.comm.ResetStateSlabs() // O(P) epoch bumps, one per rank slab
 	} else {
@@ -423,15 +446,14 @@ func (e *Engine) solveCanonLocked(cq canonQuery) (*Result, error) {
 		e.trees[i] = e.trees[i][:0]
 	}
 	clear(e.seedIdx)
-	for i, s := range dedup {
+	for i, s := range cq.dedup {
 		e.seedIdx[s] = int32(i)
 	}
-
-	env := &solveEnv{
-		g:           g,
-		opts:        opts,
+	return &solveEnv{
+		g:           e.g,
+		opts:        e.opts,
 		comm:        e.comm,
-		dedup:       dedup,
+		dedup:       cq.dedup,
 		seedIdx:     e.seedIdx,
 		mode:        cq.spec.Mode,
 		groupOf:     cq.groupOf,
@@ -449,20 +471,4 @@ func (e *Engine) solveCanonLocked(cq canonQuery) (*Result, error) {
 		walked:      e.walked,
 		walkedGen:   e.walkedGen,
 	}
-	s0 := e.comm.Stats()
-	e.comm.Run(env.rankBody)
-	if env.err != nil {
-		return nil, env.err
-	}
-	s1 := e.comm.Stats()
-	res.SuppressedBroadcasts = s1.Suppressed - s0.Suppressed
-	res.BatchedBroadcasts = s1.BatchedBroadcasts - s0.BatchedBroadcasts
-	res.CoalescedBroadcasts = s1.CoalescedBroadcasts - s0.CoalescedBroadcasts
-
-	res.SteinerVertices = countSteinerVertices(res.Tree, dedup)
-	res.Memory = memoryStats(g, e.ShardStats().ShardBytes, e.stateBytes(), e.localENs, res, opts)
-	if err := finalizeResult(g, cq, res, opts.SkipValidation); err != nil {
-		return nil, err
-	}
-	return res, nil
 }

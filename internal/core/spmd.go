@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 
 	"dsteiner/internal/faultpoint"
 	"dsteiner/internal/graph"
@@ -64,6 +65,10 @@ type solveEnv struct {
 	merges []*mergeScratch
 	// ghosts is phase 2's pooled per-rank ghost table.
 	ghosts []ghostTable
+
+	// dist is phase 4's replicated input, built once per process by the
+	// first hosted rank to reach phase 4 and read by the others.
+	dist distGraph
 
 	// GlobalCSR reference-mode shared state (loopback only).
 	st        *voronoi.State
@@ -267,8 +272,9 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 	// fragment merge runs distributed Borůvka rounds over the sharded
 	// table; the replicated path computes a sequential MST locally on
 	// every rank — G'₁ is small, so replication avoids remote copies, as
-	// in the paper. seedIdx is shared read-only (built before the SPMD
-	// body).
+	// in the paper. Its edge list and the prize plan are built once per
+	// process (env.dist) and shared by the hosted ranks. seedIdx is shared
+	// read-only (built before the SPMD body).
 	pruned := env.pruneds[r.ID()]
 	var mstPairs map[int64]bool
 	faultpoint.Hit("solve.phase4")
@@ -284,46 +290,15 @@ func (env *solveEnv) rankBody(r *rt.Rank) {
 				res.CrossTableBytes = bytes
 			}
 		}
-		keys := make([]int64, 0, len(merged))
-		for k := range merged {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-		wedges := make([]mst.WEdge, len(keys))
-		for i, k := range keys {
-			s, t := unpackSeedKey(k)
-			wedges[i] = mst.WEdge{U: seedIdx[s], V: seedIdx[t], W: merged[k].D}
-		}
+		dg := &env.dist
+		dg.once.Do(func() { dg.build(env, merged) })
 		if r.ID() == 0 {
-			res.DistGraphEdges = len(wedges)
-		}
-
-		// Prize mode: the moat-growing plan (deterministic over the
-		// replicated table, hence identical on every rank) picks the kept
-		// subset; skipped terminals and their edges leave the MST input.
-		keptCount := len(dedup)
-		if env.mode == ModePrize {
-			keep := prizePlan(len(dedup), wedges, env.penalty)
-			kept := wedges[:0]
-			for _, we := range wedges {
-				if keep[we.U] && keep[we.V] {
-					kept = append(kept, we)
-				}
-			}
-			wedges = kept
-			keptCount = 0
-			var skipped []graph.VID
-			for i, k := range keep {
-				if k {
-					keptCount++
-				} else {
-					skipped = append(skipped, dedup[i])
-				}
-			}
-			if r.ID() == 0 {
-				res.Skipped = skipped
+			res.DistGraphEdges = len(dg.edges)
+			if env.mode == ModePrize {
+				res.Skipped = dg.skipped
 			}
 		}
+		wedges, keptCount := dg.mstInput, dg.keptCount
 
 		var forest mst.Result
 		switch opts.MST {
@@ -597,6 +572,56 @@ func (gt *ghostTable) lookup(v graph.VID) (graph.VID, graph.Dist) {
 type mergeScratch struct {
 	enc    []byte
 	merged map[int64]crossEdge
+}
+
+// distGraph is the replicated path's phase-4 input, one per query and
+// process. Every hosted rank holds an identical merged cross table, so the
+// first one to arrive builds this and the others share it read-only (the
+// MST routines never modify their input).
+type distGraph struct {
+	once sync.Once
+	// edges is G'_1 in seed-key order over dense terminal indices.
+	edges []mst.WEdge
+	// mstInput is edges restricted to the kept terminals (prize mode) or
+	// edges itself; keptCount is the number of terminals it must span.
+	mstInput  []mst.WEdge
+	keptCount int
+	// skipped lists the terminals the prize plan pays to leave out.
+	skipped []graph.VID
+}
+
+func (dg *distGraph) build(env *solveEnv, merged map[int64]crossEdge) {
+	keys := make([]int64, 0, len(merged))
+	for k := range merged {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	dg.edges = make([]mst.WEdge, len(keys))
+	for i, k := range keys {
+		s, t := unpackSeedKey(k)
+		dg.edges[i] = mst.WEdge{U: env.seedIdx[s], V: env.seedIdx[t], W: merged[k].D}
+	}
+	dg.mstInput, dg.keptCount = dg.edges, len(env.dedup)
+	if env.mode != ModePrize {
+		return
+	}
+	// Prize mode: the moat-growing plan picks the kept subset; skipped
+	// terminals and their edges leave the MST input.
+	keep := prizePlan(len(env.dedup), dg.edges, env.penalty)
+	dg.mstInput = make([]mst.WEdge, 0, len(dg.edges))
+	for _, we := range dg.edges {
+		if keep[we.U] && keep[we.V] {
+			dg.mstInput = append(dg.mstInput, we)
+		}
+	}
+	dg.keptCount = 0
+	for i, k := range keep {
+		if k {
+			dg.keptCount++
+		} else {
+			dg.skipped = append(dg.skipped, env.dedup[i])
+		}
+	}
 }
 
 // mergeCrossTables merges the per-rank E_N tables into the globally-minimal
